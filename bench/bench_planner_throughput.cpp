@@ -5,7 +5,14 @@
 // tools/check_bench.py, which fails on >20% regressions vs the committed
 // baseline).
 //
+// It also reproduces Fig. 15 / §5.4, Alg. 1's runtime overhead: the
+// threads=1 `ms_per_plan` rows are the per-workload strategy times (paper:
+// 58 / 76 / 107 / 164 ms on an m4.large), and the informational `fig15`
+// array times one plan of a trace-shaped job per stage count, 4..186
+// (paper: roughly linear, < 0.2 s under 15 stages).
+//
 //   ./bench_planner_throughput [output.json]
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -17,6 +24,7 @@
 #include "sim/cluster.h"
 #include "trace/replay.h"
 #include "trace/synthetic.h"
+#include "trace/trace.h"
 #include "util/check.h"
 #include "util/table.h"
 #include "workloads/workloads.h"
@@ -36,6 +44,12 @@ struct PlanSample {
   double evals_per_sec = 0;
   std::uint64_t evaluations = 0;
   std::uint64_t memo_hits = 0;
+};
+
+struct StageSweepSample {
+  int stages = 0;
+  double ms_per_plan = 0;
+  std::uint64_t evaluations = 0;
 };
 
 struct ReplaySample {
@@ -86,6 +100,42 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Fig. 15: one plan per trace-shaped job of n stages, planned on the
+  // replay's 2-machine per-job sub-cluster with its slot rule.
+  std::vector<StageSweepSample> fig15;
+  for (int n_stages : {4, 8, 15, 30, 60, 100, 150, 186}) {
+    trace::SyntheticTraceOptions topt;
+    topt.num_jobs = 1;
+    topt.min_stages = n_stages;
+    topt.max_stages = n_stages;
+    topt.chain_fraction = 0.0;
+    topt.seed = static_cast<std::uint64_t>(2018 + n_stages);
+    const trace::TraceJob job = trace::synthetic_trace(topt).front();
+
+    sim::ClusterSpec sub = sim::ClusterSpec::paper_simulation();
+    sub.num_workers = 2;
+    trace::ReferenceRates ref;
+    ref.nic_bw = 0.5 * (sub.nic_bw_min + sub.nic_bw_max);
+    ref.disk_bw = sub.disk_bw;
+    ref.num_workers = sub.num_workers;
+    ref.executors = static_cast<double>(sub.total_executors());
+    const dag::JobDag dag = trace::to_job_dag(job, ref);
+    const core::JobProfile profile = core::JobProfile::from(dag, sub);
+
+    Seconds span = 1.0;
+    for (const auto& s : job.stages)
+      span += s.read_solo + s.compute_solo + s.write_solo;
+    core::CalculatorOptions copt;
+    copt.slot = std::max(1.0, span / 150.0);
+    copt.step = copt.slot;
+    copt.coarse_candidates = 12;
+    copt.sweeps = 1;
+    const core::DelayCalculator calc(profile, copt);
+    const auto t0 = Clock::now();
+    const core::DelaySchedule sched = calc.compute();
+    fig15.push_back({n_stages, ms_since(t0), sched.evaluations});
+  }
+
   // --- Replay: per-job planning fan-out over a synthetic trace slice.
   trace::SyntheticTraceOptions topt;
   topt.num_jobs = 200;
@@ -127,6 +177,15 @@ int main(int argc, char** argv) {
   }
   pt.print(std::cout);
 
+  std::cout << "\n=== Fig. 15: Alg. 1 time vs #stages (trace-shaped jobs, "
+               "1 thread) ===\n";
+  TablePrinter ft({"stages", "ms/plan", "evals"});
+  ft.set_precision(1);
+  for (const auto& s : fig15)
+    ft.add_row({static_cast<std::int64_t>(s.stages), s.ms_per_plan,
+                static_cast<std::int64_t>(s.evaluations)});
+  ft.print(std::cout);
+
   std::cout << "\n=== Trace replay throughput (" << jobs.size()
             << " jobs, DelayStage planning per job) ===\n";
   TablePrinter rt({"threads", "jobs/s", "speedup vs 1T"});
@@ -148,6 +207,14 @@ int main(int argc, char** argv) {
          << ", \"memo_hits\": " << s.memo_hits
          << ", \"evals_per_sec\": " << s.evals_per_sec << "}"
          << (i + 1 < plans.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"fig15\": [\n";
+  for (std::size_t i = 0; i < fig15.size(); ++i) {
+    const auto& s = fig15[i];
+    json << "    {\"stages\": " << s.stages
+         << ", \"ms_per_plan\": " << s.ms_per_plan
+         << ", \"evaluations\": " << s.evaluations << "}"
+         << (i + 1 < fig15.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"replay\": [\n";
   for (std::size_t i = 0; i < replays.size(); ++i) {

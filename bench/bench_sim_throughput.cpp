@@ -1,15 +1,17 @@
-// Event-core and parallel-simulation throughput benchmark.
+// Event-core, fabric and parallel-simulation throughput benchmark.
 //
-// Three sections, all written to BENCH_sim.json (consumed by
+// Four sections, all written to BENCH_sim.json (consumed by
 // tools/check_bench.py, which fails on >20% regressions vs the committed
 // baseline):
 //   * queue  — raw EventQueue churn: self-rescheduling pop+push ticks, and
 //     the fabric's cancel+reschedule pattern. Guards the indexed-heap core.
-//   * engine — full JobRun ensembles across sim::ShardedRunner at shard
-//     counts {1, 2, 8}: aggregate simulated events/s and runs/s. The
-//     1-shard row is the single-thread floor check_bench gates on; the
-//     multi-shard rows report the parallel speedup (informational — CI
-//     containers may have a single core).
+//   * fabric — one max-min water-fill (sim::max_min_allocate) over 100,
+//     1000 and 3000 flows on a 63-port fabric (informational, no floor).
+//   * engine — independent JobRun worlds fanned out with
+//     ThreadPool::parallel_for at shard counts {1, 2, 8}: aggregate
+//     simulated events/s and runs/s. The 1-shard row is the single-thread
+//     floor check_bench gates on; the multi-shard rows report the parallel
+//     speedup (informational — CI containers may have a single core).
 //   * replay — trace replay with engine validation: every job's planned
 //     schedule re-run through the discrete-event engine, fanned out across
 //     shards.
@@ -26,12 +28,13 @@
 
 #include "engine/job_run.h"
 #include "sim/cluster.h"
-#include "sim/sharded.h"
+#include "sim/network.h"
 #include "sim/simulator.h"
 #include "trace/replay.h"
 #include "trace/synthetic.h"
 #include "util/check.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -46,6 +49,12 @@ struct QueueSample {
   std::string scenario;
   std::uint64_t events = 0;
   double events_per_sec = 0;
+};
+
+struct FabricSample {
+  std::size_t flows = 0;
+  int reps = 0;
+  double us_per_alloc = 0;
 };
 
 struct EngineSample {
@@ -115,6 +124,24 @@ int main(int argc, char** argv) {
         {"cancel_repush", kOps, 1000.0 * kOps / ms});
   }
 
+  // --- Fabric: one max-min water-fill per call, flows spread over 30
+  // senders and 33 receivers.
+  std::vector<FabricSample> fabric;
+  for (std::size_t flows : {100, 1000, 3000}) {
+    std::vector<sim::FlowPorts> fp(flows);
+    for (std::size_t f = 0; f < flows; ++f)
+      fp[f] = {static_cast<int>(f % 30), 30 + static_cast<int>(f % 33), -1};
+    const std::vector<double> caps(63, 40e6);
+    const int reps = static_cast<int>(3'000'000 / flows);
+    double sink = sim::max_min_allocate(fp, caps).front();  // warm-up
+    const auto t0 = Clock::now();
+    for (int r = 0; r < reps; ++r)
+      sink += sim::max_min_allocate(fp, caps).front();
+    const double ms = ms_since(t0);
+    DS_CHECK(sink > 0);
+    fabric.push_back({flows, reps, 1000.0 * ms / reps});
+  }
+
   // --- Engine: LDA run ensembles across shard counts.
   const auto dag = workloads::lda();
   const auto spec = sim::ClusterSpec::paper_prototype();
@@ -133,11 +160,11 @@ int main(int argc, char** argv) {
   std::vector<EngineSample> engine;
   std::vector<double> reference_jcts;
   for (int shards : shard_counts) {
-    sim::ShardedRunner runner(shards);
-    runner.run<std::pair<double, std::size_t>>(2, run_one);  // warm-up
+    ThreadPool pool(shards);
+    std::vector<std::pair<double, std::size_t>> results(kRuns);
+    pool.parallel_for(2, [&](std::size_t i) { results[i] = run_one(i); });
     const auto t0 = Clock::now();
-    const auto results =
-        runner.run<std::pair<double, std::size_t>>(kRuns, run_one);
+    pool.parallel_for(kRuns, [&](std::size_t i) { results[i] = run_one(i); });
     const double ms = ms_since(t0);
 
     std::vector<double> jcts;
@@ -201,6 +228,14 @@ int main(int argc, char** argv) {
                 s.events_per_sec});
   qt.print(std::cout);
 
+  std::cout << "\n=== Fabric max-min water-fill (63 ports) ===\n";
+  TablePrinter ft({"flows", "reps", "us/alloc"});
+  ft.set_precision(1);
+  for (const auto& s : fabric)
+    ft.add_row({static_cast<std::int64_t>(s.flows),
+                static_cast<std::int64_t>(s.reps), s.us_per_alloc});
+  ft.print(std::cout);
+
   std::cout << "\n=== Engine ensembles (" << kRuns << " LDA runs) ===\n";
   TablePrinter et({"shards", "runs/s", "events/s", "speedup vs 1"});
   et.set_precision(2);
@@ -226,6 +261,13 @@ int main(int argc, char** argv) {
     json << "    {\"scenario\": \"" << s.scenario << "\", \"events\": "
          << s.events << ", \"events_per_sec\": " << s.events_per_sec << "}"
          << (i + 1 < queue.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"fabric\": [\n";
+  for (std::size_t i = 0; i < fabric.size(); ++i) {
+    const auto& s = fabric[i];
+    json << "    {\"flows\": " << s.flows << ", \"reps\": " << s.reps
+         << ", \"us_per_alloc\": " << s.us_per_alloc << "}"
+         << (i + 1 < fabric.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"engine\": [\n";
   for (std::size_t i = 0; i < engine.size(); ++i) {

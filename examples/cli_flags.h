@@ -1,16 +1,8 @@
-// Shared command-line plumbing for the example CLIs, so delaystage_cli and
-// trace_analysis spell and validate
-// --threads/--seed/--quantile/--trace-out/--metrics-out/--report-out (plus
-// the live-observability flags --flight-out/--prom-out/--telemetry-out/
-// --telemetry-period/--slo) identically, and dispatch subcommands through
-// one registry.
-//
-// Subcommand registry: the canonical commands (plan / run / report / trace /
-// serve / sched / demo) are declared once here — name, operand synopsis and
-// summary — and each binary binds run functions to the subset it implements
-// via std_subcommand(), then hands the table to dispatch(). A CLI may name a
-// default command (trace_analysis defaults to `trace`) so bare invocations
-// keep working.
+// Command-line plumbing for delaystage_cli: every subcommand spells and
+// validates --threads/--seed/--quantile/--trace-out/--metrics-out/
+// --report-out (plus the live-observability flags --flight-out/--prom-out/
+// --telemetry-out/--telemetry-period/--slo) identically, and dispatch()
+// routes argv[1] through one Subcommand table.
 //
 // ObsSink owns the per-invocation obs::Observability: construct it from the
 // parsed flags, hand sink.get() to CommonOptions::obs, and call flush() once
@@ -140,7 +132,7 @@ inline CommonFlags parse_common_flags(int argc, char** argv,
 }
 
 // One dispatchable subcommand. `run` receives the binary's full argc/argv
-// (the subcommand name, when given explicitly, sits at argv[1]).
+// (the subcommand name sits at argv[1]).
 struct Subcommand {
   std::string name;
   std::string operands;  // synopsis after the name, e.g. "<job.spec> [flags]"
@@ -148,48 +140,13 @@ struct Subcommand {
   int (*run)(int argc, char** argv) = nullptr;
 };
 
-// The canonical subcommand surface, declared once so both CLIs spell the
-// same names and help text; binaries bind run functions to the subset they
-// implement. Unknown names are an error (catches typos at registry setup).
-inline Subcommand std_subcommand(const std::string& name,
-                                 int (*run)(int, char**)) {
-  static const Subcommand kStandard[] = {
-      {"plan", "[job.spec] [flags]",
-       "compute the DelayStage schedule and print it", nullptr},
-      {"run", "[job.spec] [flags]",
-       "execute one job on the simulated cluster", nullptr},
-      {"report", "[job.spec] [flags]",
-       "plan + execute, then print model-drift and interleaving analytics",
-       nullptr},
-      {"trace", "[batch_task.csv] [flags]",
-       "trace statistics plus a Fuxi vs DelayStage replay", nullptr},
-      {"serve", "[flags]",
-       "plan-as-a-service daemon: NDJSON requests on stdin", nullptr},
-      {"sched", "[flags]",
-       "online multi-job scheduler: a job stream on one shared cluster",
-       nullptr},
-      {"demo", "", "print a sample job spec", nullptr},
-  };
-  for (const Subcommand& c : kStandard) {
-    if (c.name == name) {
-      Subcommand bound = c;
-      bound.run = run;
-      return bound;
-    }
-  }
-  throw std::logic_error("std_subcommand: unknown subcommand '" + name + "'");
-}
-
 inline void print_usage(std::ostream& os, const std::string& prog,
-                        const std::vector<Subcommand>& cmds,
-                        const std::string& default_cmd = "") {
+                        const std::vector<Subcommand>& cmds) {
   os << "usage: " << prog << " <command> [args]\n\ncommands:\n";
   for (const Subcommand& c : cmds) {
     os << "  " << c.name;
     if (!c.operands.empty()) os << ' ' << c.operands;
-    os << "\n      " << c.summary;
-    if (c.name == default_cmd) os << " (default)";
-    os << '\n';
+    os << "\n      " << c.summary << '\n';
   }
   os << "\nshared flags: --threads N (0 = hw concurrency), --seed N,\n"
         "  --quantile Q (0 < Q < 1: straggler-quantile planning),\n"
@@ -203,25 +160,22 @@ inline void print_usage(std::ostream& os, const std::string& prog,
         "    sched only — live SLO tracking with violation events)\n";
 }
 
-// Routes argv[1] to its subcommand. `help`/`--help`/`-h` print usage. When
-// `default_cmd` is set, an argv[1] that is no known command (a file operand,
-// a flag, or nothing at all) falls through to that command; otherwise an
-// unknown command is an error.
-inline int dispatch(int argc, char** argv, const std::vector<Subcommand>& cmds,
-                    const std::string& default_cmd = "") {
+// Routes argv[1] to its subcommand. `help`/`--help`/`-h`, and `--help`/`-h`
+// anywhere after a command, print usage and exit 0 without running it; an
+// unknown (or missing) command prints usage to stderr and exits 2.
+inline int dispatch(int argc, char** argv,
+                    const std::vector<Subcommand>& cmds) {
   const std::string prog = argc > 0 ? argv[0] : "cli";
   const std::string cmd = argc > 1 ? argv[1] : "";
-  if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-    print_usage(std::cout, prog, cmds, default_cmd);
+  const bool help = cmd == "help" || has_flag(argc, argv, "--help") ||
+                    has_flag(argc, argv, "-h");
+  if (help) {
+    print_usage(std::cout, prog, cmds);
     return 0;
   }
   for (const Subcommand& c : cmds)
     if (c.name == cmd) return c.run(argc, argv);
-  if (!default_cmd.empty()) {
-    for (const Subcommand& c : cmds)
-      if (c.name == default_cmd) return c.run(argc, argv);
-  }
-  print_usage(std::cerr, prog, cmds, default_cmd);
+  print_usage(std::cerr, prog, cmds);
   return 2;
 }
 

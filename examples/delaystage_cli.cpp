@@ -1,6 +1,6 @@
-// Command-line front end: plan and simulate jobs described by spec files.
-// Subcommands come from the shared registry in cli_flags.h (trace_analysis
-// uses the same one), so both CLIs spell flags and help identically.
+// Command-line front end: plan and simulate jobs described by spec files,
+// and analyse cluster traces. Shared flags and dispatch live in cli_flags.h;
+// the Subcommand table in main() is the one list of commands.
 //
 //   ./delaystage_cli plan <job.spec> [--cluster prototype|three_node]
 //                                    [--threads N]   # 0 = hardware concurrency
@@ -15,6 +15,11 @@
 //   ./delaystage_cli report <job.spec> [--cluster ...] [--seed N]
 //                                      [--quantile Q]
 //                                      [--report-out FILE] [--strict]
+//   ./delaystage_cli trace [batch_task.csv] [--threads N] [--seed N]
+//                          [--adaptive]
+//                          [--perturb-network F] [--perturb-compute F]
+//                          [--trace-out FILE] [--metrics-out FILE]
+//                          [--report-out FILE]
 //   ./delaystage_cli demo                 # print a sample spec
 //   ./delaystage_cli serve [--store FILE] [--cluster ...] [--threads N]
 //                          [--batch N] [--cache-shards N] [--cache-capacity N]
@@ -79,6 +84,17 @@
 // slo_violation flight event. A {"cmd": "stats"} line in --jobs-in answers
 // with one live {"ev": "stats"} state line (see service/ndjson.h).
 //
+// Trace analysis: `trace` parses an Alibaba batch_task CSV (or, without
+// one, generates a synthetic trace) and prints the §2.1 parallel-stage
+// statistics plus a 300-job cluster replay comparing Fuxi with DelayStage.
+// Its --seed (default 7) varies the replay, not the generator. --report-out
+// writes per-strategy fleet utilization analytics plus per-job rows.
+// --adaptive switches the replay to the closed loop: jobs plan on
+// per-workload calibrated profiles, run through the discrete-event engine,
+// and each run's measured phase spans recalibrate the next recurrence.
+// --perturb-network/--perturb-compute (the planner believes F × the truth;
+// 1.0 = accurate) inject model error to watch the calibration converge.
+//
 // Analytics: `report` plans with the DelayStage calculator, executes the
 // schedule, and prints per-stage predicted-vs-actual residuals for the three
 // model terms plus per-resource idle/overlap fractions (--strict exits
@@ -99,6 +115,7 @@
 //   edge,<parent_index>,<child_index>
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -124,6 +141,9 @@
 #include "sim/faults.h"
 #include "store/daemon.h"
 #include "trace/alibaba.h"
+#include "trace/replay.h"
+#include "trace/stats.h"
+#include "trace/synthetic.h"
 #include "util/table.h"
 #include "workloads/workloads.h"
 
@@ -690,6 +710,103 @@ int sub_report(int argc, char** argv) {
   return rc;
 }
 
+int sub_trace(int argc, char** argv) {
+  using namespace ds;
+  const cli::CommonFlags cf = cli::parse_common_flags(argc, argv, 7);
+  cli::ObsSink sink(cf);
+  const bool adaptive = cli::has_flag(argc, argv, "--adaptive");
+  const double perturb_network =
+      cli::num_flag(argc, argv, "--perturb-network", 1.0);
+  const double perturb_compute =
+      cli::num_flag(argc, argv, "--perturb-compute", 1.0);
+  const char* trace_file = nullptr;
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--adaptive") == 0) continue;  // valueless
+    if (argv[i][0] == '-') {
+      ++i;  // every other flag takes a value
+      continue;
+    }
+    trace_file = argv[i];
+  }
+
+  std::vector<trace::TraceJob> jobs;
+  if (trace_file != nullptr) {
+    trace::AlibabaParseStats pstats;
+    jobs = trace::parse_batch_task_file(trace_file, &pstats);
+    std::cout << "parsed " << pstats.rows << " rows -> " << jobs.size()
+              << " usable jobs (" << pstats.dropped_jobs << " dropped, "
+              << pstats.bad_rows << " malformed rows)\n\n";
+  } else {
+    std::cout << "no trace file given; generating a synthetic trace\n\n";
+    trace::SyntheticTraceOptions opt;
+    opt.num_jobs = 2000;
+    opt.seed = 1;  // the generator seed is fixed; --seed varies the replay
+    jobs = trace::synthetic_trace(opt);
+  }
+  if (jobs.empty()) {
+    std::cerr << "no jobs to analyse\n";
+    return 1;
+  }
+
+  const trace::TraceStats st = trace::analyze(jobs);
+  std::cout << "jobs:                        " << st.total_jobs << '\n'
+            << "stages:                      " << st.total_stages << '\n'
+            << "jobs with parallel stages:   "
+            << fmt(100.0 * st.parallel_job_fraction(), 1) << " %\n"
+            << "parallel stages overall:     "
+            << fmt(100.0 * st.parallel_stage_fraction(), 1) << " %\n"
+            << "median stages per job:       "
+            << fmt(st.stages_per_job.percentile(50), 1) << '\n';
+  if (!st.parallel_makespan_share.empty()) {
+    std::cout << "mean parallel makespan share: "
+              << fmt(st.parallel_makespan_share.mean(), 1) << " %\n";
+  }
+
+  // Replay a sample under both schedulers, aggregating fleet analytics
+  // (per-job and per-strategy) as we go.
+  std::vector<trace::TraceJob> sample(
+      jobs.begin(), jobs.begin() + std::min<std::size_t>(jobs.size(), 300));
+  obs::analytics::FleetReport fleet;
+  fleet.trace = trace_file != nullptr ? trace_file : "synthetic";
+  std::vector<std::string> cols = {"strategy", "mean JCT (s)", "CPU util %",
+                                   "net util %"};
+  if (adaptive) cols.push_back("mean engine JCT (s)");
+  TablePrinter t(cols);
+  t.set_precision(1);
+  for (const char* strategy : {"Fuxi", "DelayStage"}) {
+    trace::ReplayOptions opt;
+    opt.strategy = strategy;
+    opt.cluster.num_workers = 400;
+    cf.apply(opt);
+    opt.obs = sink.get();
+    opt.adaptive = adaptive;
+    opt.perturb_network = perturb_network;
+    opt.perturb_compute = perturb_compute;
+    if (const Status st = trace::validate(opt); !st.is_ok())
+      throw std::runtime_error(st.message());
+    const trace::ReplayResult r = trace::replay(sample, opt);
+    std::vector<TablePrinter::Cell> row = {std::string(strategy),
+                                           r.mean_jct(), r.mean_cpu_util(),
+                                           r.mean_net_util()};
+    if (adaptive) {
+      double engine_sum = 0;
+      for (const auto& j : r.jobs) engine_sum += j.engine_jct;
+      row.push_back(engine_sum / static_cast<double>(r.jobs.size()));
+    }
+    t.add_row(std::move(row));
+    fleet.strategies.push_back(obs::analytics::fleet_strategy_report(
+        strategy, r, /*keep_jobs=*/!cf.report_out.empty()));
+  }
+  std::cout << '\n';
+  t.print(std::cout);
+  if (!cf.report_out.empty() &&
+      obs::analytics::write_report_file(cf.report_out, fleet))
+    std::cout << "# fleet analytics report written to " << cf.report_out
+              << '\n';
+  sink.flush();
+  return 0;
+}
+
 int sub_serve(int argc, char** argv) {
   using namespace ds;
   // Daemon mode takes no job spec: jobs arrive inside the requests.
@@ -723,13 +840,23 @@ int sub_sched(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     using namespace ds;
-    return cli::dispatch(argc, argv,
-                         {cli::std_subcommand("plan", sub_plan),
-                          cli::std_subcommand("run", sub_run),
-                          cli::std_subcommand("report", sub_report),
-                          cli::std_subcommand("serve", sub_serve),
-                          cli::std_subcommand("sched", sub_sched),
-                          cli::std_subcommand("demo", sub_demo)});
+    return cli::dispatch(
+        argc, argv,
+        {{"plan", "[job.spec] [flags]",
+          "compute the DelayStage schedule and print it", sub_plan},
+         {"run", "[job.spec] [flags]",
+          "execute one job on the simulated cluster", sub_run},
+         {"report", "[job.spec] [flags]",
+          "plan + execute, then print model-drift and interleaving analytics",
+          sub_report},
+         {"trace", "[batch_task.csv] [flags]",
+          "trace statistics plus a Fuxi vs DelayStage replay", sub_trace},
+         {"serve", "[flags]",
+          "plan-as-a-service daemon: NDJSON requests on stdin", sub_serve},
+         {"sched", "[flags]",
+          "online multi-job scheduler: a job stream on one shared cluster",
+          sub_sched},
+         {"demo", "", "print a sample job spec", sub_demo}});
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -4,8 +4,8 @@
 // drifted into duplicated, inconsistently defaulted knobs (threads in two of
 // four, seed in three, 0-means-auto normalized in the CLIs only). They now
 // all *inherit* CommonOptions, which:
-//   * keeps the old spellings compiling (`opt.threads`, `opt.seed` are the
-//     base members — the deprecated aliases DESIGN.md §9 documents);
+//   * holds the shared fields once (`opt.threads`, `opt.seed`, `opt.obs`), so
+//     shared helpers take any derived struct as a `CommonOptions&`;
 //   * normalizes 0/negative-means-hardware-concurrency in exactly one place
 //     (resolved_threads());
 //   * carries the observability sink (obs) that sim/, engine/, core/ and
@@ -44,10 +44,6 @@ struct CommonOptions {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
   }
-
-  // Explicit access to the shared slice of a derived options struct.
-  CommonOptions& common() { return *this; }
-  const CommonOptions& common() const { return *this; }
 };
 
 }  // namespace ds

@@ -12,11 +12,6 @@ void Cdf::add(double v) {
   sorted_ = false;
 }
 
-void Cdf::add_all(const std::vector<double>& vs) {
-  samples_.insert(samples_.end(), vs.begin(), vs.end());
-  sorted_ = false;
-}
-
 void Cdf::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());

@@ -9,7 +9,6 @@ namespace ds::metrics {
 class Cdf {
  public:
   void add(double v);
-  void add_all(const std::vector<double>& vs);
 
   std::size_t count() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

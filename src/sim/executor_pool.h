@@ -64,8 +64,6 @@ class ExecutorPool {
   }
   int total_slots() const;
   int total_busy() const;
-  // Slots a new job could be granted right now (offline nodes excluded).
-  int total_free() const { return total_slots() - total_busy(); }
   std::size_t queued() const { return waiters_.size(); }
 
  private:

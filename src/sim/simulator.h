@@ -1,8 +1,8 @@
 // Discrete-event simulator driver. Each Simulator instance is single-
 // threaded by design — determinism and debuggability matter more here than
 // intra-run speedup; cluster-scale throughput comes from running *many*
-// instances in parallel (sim/sharded.h), one per shard, each owning its own
-// Simulator. Callbacks are InlineFunction (see event_queue.h): the steady
+// independent instances in parallel (ThreadPool::parallel_for, one world per
+// index). Callbacks are InlineFunction (see event_queue.h): the steady
 // state allocates nothing per event.
 #pragma once
 

@@ -3,9 +3,6 @@
 // identical order.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/units.h"
 
 namespace ds::sim {
@@ -17,8 +14,6 @@ using SimTime = ds::Seconds;
 // anything observable but far above accumulated double error.
 inline constexpr double kFluidEps = 1e-6;
 
-inline bool approx_done(double remaining) { return remaining <= kFluidEps; }
-
 // Completion test for fluid work being serviced at `rate`. The byte-absolute
 // epsilon alone is not enough: accumulated float error can leave a residue
 // slightly above kFluidEps whose drain time at a high rate is *below double
@@ -29,10 +24,6 @@ inline constexpr double kTimeEps = 1e-9;
 
 inline bool fluid_done(double remaining, double rate) {
   return remaining <= kFluidEps || remaining <= rate * kTimeEps;
-}
-
-inline bool approx_eq(SimTime a, SimTime b, double eps = 1e-9) {
-  return std::abs(a - b) <= eps * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
 }  // namespace ds::sim

@@ -223,20 +223,6 @@ std::size_t ProfileStore::workloads() const {
   return records_.size();
 }
 
-void ProfileStore::export_to(core::ModelCalibrator& calibrator) const {
-  for (const auto& [sig, f] : calibrator_->snapshot())
-    calibrator.restore(sig, f);
-}
-
-void ProfileStore::import_from(const core::ModelCalibrator& calibrator) {
-  for (const auto& [sig, f] : calibrator.snapshot()) {
-    calibrator_->restore(sig, f);
-    std::lock_guard<std::mutex> lock(mu_);
-    Record& rec = records_[sig];
-    if (rec.runs == 0) rec.anchor = f;  // fresh entry: anchor at import
-  }
-}
-
 Status ProfileStore::save(const std::string& path) const {
   std::vector<FileRecord> recs;
   {

@@ -78,11 +78,6 @@ class ProfileStore {
   WorkloadStats stats(std::uint64_t signature) const;
   std::size_t workloads() const;
 
-  // Snapshot every signature into / out of a ModelCalibrator (bit-exact
-  // factors) — the bridge to PR 7's adaptive planning stack.
-  void export_to(core::ModelCalibrator& calibrator) const;
-  void import_from(const core::ModelCalibrator& calibrator);
-
   // Atomic snapshot: write to `path + ".tmp"`, fsync-free rename over
   // `path`. Records are sorted by signature, so identical state produces an
   // identical file.

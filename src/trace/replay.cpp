@@ -8,7 +8,6 @@
 #include "core/evaluator.h"
 #include "core/profile.h"
 #include "engine/job_run.h"
-#include "sim/sharded.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -249,11 +248,13 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
 
     // 1b) Engine validation: replay each job's planned schedule through the
     //     real discrete-event engine on its dedicated sub-cluster. Every
-    //     index is a self-contained world (own Simulator, Cluster, JobRun),
-    //     so the ShardedRunner fan-out is bit-identical for any shard count.
+    //     index is a self-contained world (own Simulator, Cluster, JobRun)
+    //     written to its own slot, so the fan-out across `engine_shards`
+    //     workers is bit-identical for any shard count.
     if (options.engine_validate) {
-      sim::ShardedRunner runner(options.engine_shards);
-      engine_jcts = runner.run<Seconds>(jobs.size(), [&](std::size_t i) {
+      engine_jcts.assign(jobs.size(), 0.0);
+      ThreadPool shards(options.engine_shards);
+      shards.parallel_for(jobs.size(), [&](std::size_t i) {
         const auto [cs, ref] = sub_cluster_for(options);
         sim::Simulator sim;
         sim::Cluster cluster(sim, cs, options.seed + i);
@@ -264,7 +265,7 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
         engine::JobRun run(cluster, dag, std::move(ro));
         run.start();
         sim.run();
-        return run.result().jct;
+        engine_jcts[i] = run.result().jct;
       });
     }
   }

@@ -15,7 +15,6 @@
 // cluster/machine utilization series of Fig. 4 and Table 4.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,8 +50,8 @@ struct ReplayOptions : CommonOptions {
   int evaluator_slots = 150;  // target #slots per evaluation
   // Engine validation: additionally run every job's planned schedule through
   // the real discrete-event engine (engine::JobRun) on its dedicated
-  // sub-cluster, fanned out across `engine_shards` worker threads via
-  // sim::ShardedRunner (each job is a fully independent simulated world).
+  // sub-cluster, fanned out across `engine_shards` worker threads (each job
+  // is a fully independent simulated world).
   // The engine-measured JCT lands in ReplayJobResult::engine_jct. Results
   // are bit-identical for any shard count, including 1.
   bool engine_validate = false;
@@ -123,15 +122,5 @@ struct ReplayResult {
 
 ReplayResult replay(const std::vector<TraceJob>& jobs,
                     const ReplayOptions& options);
-
-// Back-compat spelling from before seeds lived in CommonOptions: the trailing
-// seed overrides options.seed. Deprecated for one release (set options.seed
-// and call the CommonOptions-only overload); no in-repo caller remains.
-[[deprecated("set ReplayOptions::seed and call replay(jobs, options)")]]
-inline ReplayResult replay(const std::vector<TraceJob>& jobs,
-                           ReplayOptions options, std::uint64_t seed) {
-  options.seed = seed;
-  return replay(jobs, options);
-}
 
 }  // namespace ds::trace

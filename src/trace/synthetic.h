@@ -11,7 +11,6 @@
 // pipeline.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/options.h"
@@ -39,16 +38,5 @@ struct SyntheticTraceOptions : CommonOptions {
 
 // Deterministic for a given opt.seed.
 std::vector<TraceJob> synthetic_trace(const SyntheticTraceOptions& opt);
-
-// Back-compat spelling from before seeds lived in CommonOptions: the trailing
-// seed overrides opt.seed. Deprecated for one release (set opt.seed and call
-// the CommonOptions-only overload); no in-repo caller remains.
-[[deprecated(
-    "set SyntheticTraceOptions::seed and call synthetic_trace(opt)")]]
-inline std::vector<TraceJob> synthetic_trace(SyntheticTraceOptions opt,
-                                             std::uint64_t seed) {
-  opt.seed = seed;
-  return synthetic_trace(opt);
-}
 
 }  // namespace ds::trace

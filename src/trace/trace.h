@@ -30,13 +30,6 @@ struct TraceJob {
   std::string name;
   Seconds submit_time = 0;
   std::vector<TraceStage> stages;
-
-  Seconds total_solo_time() const {
-    Seconds t = 0;
-    for (const auto& s : stages)
-      t += s.read_solo + s.compute_solo + s.write_solo;
-    return t;
-  }
 };
 
 // Reference cluster used to convert solo phase times into the volumetric

@@ -2,6 +2,8 @@
 // monotonicity, straggler monotonicity, and calculator option behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/delay_calculator.h"
 #include "core/evaluator.h"
 #include "core/profile.h"

@@ -1,8 +1,7 @@
 // ds::CommonOptions: the one place 0-means-auto thread counts are resolved,
-// plus the back-compat option spellings (inherited threads/seed fields). The
-// legacy trailing-seed overloads are [[deprecated]] and no longer called
-// anywhere in the repo — the tests below pin the CommonOptions-only
-// signatures they collapsed into.
+// and the shared threads/seed/obs fields every options struct inherits. The
+// tests below pin that derived structs bind to `CommonOptions&` and that
+// seeds are read from the options, not from extra call arguments.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -30,15 +29,16 @@ TEST(CommonOptions, ResolvedThreadsNormalizesZeroAndNegative) {
 }
 
 TEST(CommonOptions, DerivedStructsInheritTheSharedFields) {
-  // The pre-refactor spellings must keep compiling: threads/seed now live in
-  // the CommonOptions base, and common() exposes the base for shared helpers.
+  // threads/seed live in the CommonOptions base, so a derived struct binds
+  // to `CommonOptions&` for shared helpers and writes go through to it.
   core::CalculatorOptions copt;
   copt.threads = 3;
   copt.seed = 9;
   copt.obs = nullptr;
-  EXPECT_EQ(copt.common().threads, 3);
-  EXPECT_EQ(copt.common().seed, 9u);
-  copt.common().threads = 4;
+  CommonOptions& cbase = copt;
+  EXPECT_EQ(cbase.threads, 3);
+  EXPECT_EQ(cbase.seed, 9u);
+  cbase.threads = 4;
   EXPECT_EQ(copt.threads, 4);
 
   trace::ReplayOptions ropt;
@@ -46,7 +46,8 @@ TEST(CommonOptions, DerivedStructsInheritTheSharedFields) {
   EXPECT_EQ(ropt.resolved_threads(), 2);
   trace::SyntheticTraceOptions topt;
   topt.seed = 77;
-  EXPECT_EQ(topt.common().seed, 77u);
+  const CommonOptions& tbase = topt;
+  EXPECT_EQ(tbase.seed, 77u);
 }
 
 TEST(CommonOptions, SyntheticTraceSeedLivesInOptions) {
