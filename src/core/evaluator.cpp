@@ -362,13 +362,19 @@ bool ScheduleEvaluator::march(const std::vector<Seconds>& delay,
     //    at task granularity) in the same pass: every contribution depends
     //    only on the contributing stage's own just-finalised allocation, and
     //    the sums still accumulate in run_order order.
+    //    A wave that grows here changes demand() at the next boundary, so
+    //    this boundary's allocation cannot be frozen by step 6.
     double free_execs = cluster_execs_;
     double read_tasks = 0, src_read_tasks = 0, write_tasks = 0;
     int read_stages = 0, src_read_stages = 0;
+    bool wave_grew = false;
     for (dag::StageId s : sc.run_order) {
       auto& x = sc.ss[static_cast<std::size_t>(s)];
       x.slots = std::min(x.demand(), free_execs);
-      if (x.slots > x.prev_slots) x.prev_slots = x.slots;
+      if (x.slots > x.prev_slots) {
+        x.prev_slots = x.slots;
+        wave_grew = true;
+      }
       free_execs -= x.slots;
       // Tasks still fetching vs tasks past their read. Tasks pipeline inside
       // a stage: early finishers compute while stragglers keep reading.
@@ -444,10 +450,10 @@ bool ScheduleEvaluator::march(const std::vector<Seconds>& delay,
     ++n_stepped;
     // 6) Fast-forward: count how many upcoming slots provably need no
     //    boundary processing — no admission, no retirement, no timestamp
-    //    stamp, no allocation change — and replay the same per-slot
-    //    arithmetic for them in a tight loop. Trajectories are bit-identical
-    //    to stepping slot by slot; only the O(n) boundary bookkeeping is
-    //    skipped. Two regimes qualify:
+    //    stamp, no allocation change, no wave growth — and replay the same
+    //    per-slot arithmetic for them in a tight loop. Trajectories are
+    //    bit-identical to stepping slot by slot; only the O(n) boundary
+    //    bookkeeping is skipped. Two regimes qualify:
     //      * no stage has bytes in flight: every stage's progress is a
     //        constant stored in compute_prog / write_prog;
     //      * exactly one stage is draining bytes and no straggler tail holds
@@ -456,7 +462,7 @@ bool ScheduleEvaluator::march(const std::vector<Seconds>& delay,
     //        depends only on its own state and can be re-applied with the
     //        exact step-3/step-5 expressions, while everyone else is in the
     //        constant regime above.
-    if (!fast_forward_) continue;
+    if (!fast_forward_ || wave_grew) continue;
     int readers = 0;
     dag::StageId reader = -1;
     bool reader_mode_ok = true;

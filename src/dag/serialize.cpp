@@ -1,6 +1,7 @@
 #include "dag/serialize.h"
 
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -34,7 +35,9 @@ JobDag load_job_spec(std::istream& in) {
       Stage s;
       s.name = std::string(trim(f[1]));
       std::uint64_t tasks = 0;
-      DS_CHECK_MSG(parse_u64(trim(f[2]), tasks) && tasks > 0,
+      DS_CHECK_MSG(parse_u64(trim(f[2]), tasks) && tasks > 0 &&
+                       tasks <= static_cast<std::uint64_t>(
+                                    std::numeric_limits<int>::max()),
                    "line " << lineno << ": bad task count");
       s.num_tasks = static_cast<int>(tasks);
       double in_gb = 0, rate = 0, out_gb = 0, skew = 0;

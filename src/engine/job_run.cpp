@@ -31,8 +31,7 @@ JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
       m_speculative_(obs::counter(opt_.obs, "engine.speculative_copies")),
       m_stages_finished_(obs::counter(opt_.obs, "engine.stages_finished")),
       m_replans_(obs::counter(opt_.obs, "engine.replans")),
-      m_task_seconds_(obs::histogram(opt_.obs, "engine.task_seconds",
-                                     obs::exponential_buckets(1.0, 1.6, 24))) {
+      m_task_seconds_(obs::histogram(opt_.obs, "engine.task_seconds")) {
   DS_CHECK_MSG(static_cast<std::uint64_t>(cluster.total_nodes()) < kMaxNodes,
                "cluster too large for push keys");
   DS_CHECK_MSG(opt_.task_failure_rate >= 0 && opt_.task_failure_rate < 1.0,

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -58,10 +57,8 @@ inline Gauge gauge(Observability* obs, const std::string& name) {
   return obs != nullptr ? obs->metrics.gauge(name) : Gauge();
 }
 
-inline Histogram histogram(Observability* obs, const std::string& name,
-                           std::vector<double> bounds) {
-  return obs != nullptr ? obs->metrics.histogram(name, std::move(bounds))
-                        : Histogram();
+inline Histogram histogram(Observability* obs, const std::string& name) {
+  return obs != nullptr ? obs->metrics.histogram(name) : Histogram();
 }
 
 inline Tracer* tracer(Observability* obs) {

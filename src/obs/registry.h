@@ -1,18 +1,21 @@
-// Lock-cheap metrics registry: counters, gauges and fixed-bucket histograms.
+// Lock-cheap metrics registry: counters, gauges and streaming-quantile
+// histograms.
 //
 // Instrumented code resolves *typed handles* once, at construction, and
-// updates them on hot paths with a single relaxed atomic op — never a string
-// lookup, never a lock. The registry's mutex only guards handle creation and
-// export. A default-constructed handle is *disabled*: every update is one
-// null-pointer branch, which is what every subsystem holds when the caller
-// passed no Observability sink (the compiled-in-but-off path measured by
+// updates them on hot paths without a string lookup: a counter or gauge
+// update is a single relaxed atomic op, a histogram observation one
+// uncontended per-histogram mutex around a QuantileSketch update. The
+// registry's own mutex only guards handle creation and export. A
+// default-constructed handle is *disabled*: every update is one null-pointer
+// branch, which is what every subsystem holds when the caller passed no
+// Observability sink (the compiled-in-but-off path measured by
 // bench_obs_overhead).
 //
-// Histograms use fixed ascending bucket upper bounds (choose them with
-// linear_buckets/exponential_buckets); samples are assumed non-negative
-// (durations, bytes). Percentiles interpolate linearly within a bucket, so
-// they agree with metrics::Cdf to within one bucket width — the contract
-// obs_test pins.
+// A histogram is a QuantileSketch at its default 1% relative accuracy plus
+// an exact running sum: quantile(q) is within a factor (1 ± 0.01) of the
+// exact sample quantile inside the sketch's tracked range, and identical
+// sample multisets give bit-identical quantiles in any observation order.
+// Exact order statistics stay with metrics::Cdf.
 #pragma once
 
 #include <atomic>
@@ -23,6 +26,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/quantile_sketch.h"
 
 namespace ds::obs {
 
@@ -44,12 +49,14 @@ struct GaugeCell {
 };
 
 struct HistogramCell {
-  explicit HistogramCell(std::vector<double> b)
-      : bounds(std::move(b)), counts(bounds.size() + 1) {}
-  const std::vector<double> bounds;                 // ascending upper bounds
-  std::vector<std::atomic<std::uint64_t>> counts;   // + overflow bucket
-  std::atomic<std::uint64_t> total{0};
-  std::atomic<double> sum{0.0};
+  std::mutex mu;  // guards sketch and sum
+  QuantileSketch sketch;
+  double sum = 0;
+
+  double mean() const {
+    const std::uint64_t n = sketch.count();
+    return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  }
 };
 
 }  // namespace detail
@@ -95,11 +102,6 @@ class Gauge {
 
 class Histogram {
  public:
-  struct Point {
-    double value = 0;
-    double cum_percent = 0;
-  };
-
   Histogram() = default;  // disabled
   void observe(double v) const;
   bool enabled() const { return cell_ != nullptr; }
@@ -107,26 +109,14 @@ class Histogram {
   std::uint64_t count() const;
   double sum() const;
   double mean() const;
-  // p in [0, 100]; linear interpolation within the containing bucket (the
-  // first bucket's lower edge is 0, the overflow bucket reports the top
-  // bound). Matches metrics::Cdf to within one bucket width.
-  double percentile(double p) const;
-  // Percent of samples <= v, interpolated within v's bucket (cf.
-  // metrics::Cdf::fraction_below).
-  double fraction_below(double v) const;
-  // n evenly spaced CDF points, like metrics::Cdf::points.
-  std::vector<Point> points(int n = 20) const;
+  // q in [0, 1]; the sketch's nearest-rank estimate (0 when empty).
+  double quantile(double q) const;
 
  private:
   friend class MetricsRegistry;
   explicit Histogram(detail::HistogramCell* cell) : cell_(cell) {}
   detail::HistogramCell* cell_ = nullptr;
 };
-
-// Handy bucket layouts. linear_buckets(w, n) = {w, 2w, ..., nw};
-// exponential_buckets(s, f, n) = {s, s·f, ..., s·f^(n-1)}.
-std::vector<double> linear_buckets(double width, int count);
-std::vector<double> exponential_buckets(double start, double factor, int count);
 
 // One histogram's derived summary inside a MetricsSnapshot.
 struct HistogramStat {
@@ -157,10 +147,10 @@ class MetricsRegistry {
 
   // Resolve (creating on first use) the named metric. Handles stay valid for
   // the registry's lifetime; resolving the same name again returns a handle
-  // to the same cell. A histogram's bounds are fixed by its first resolution.
+  // to the same cell.
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
-  Histogram histogram(const std::string& name, std::vector<double> bounds);
+  Histogram histogram(const std::string& name);
 
   // Read-only lookups for export and tests; a missing name yields a disabled
   // handle (value() == 0).
@@ -168,16 +158,18 @@ class MetricsRegistry {
   Gauge find_gauge(const std::string& name) const;
   Histogram find_histogram(const std::string& name) const;
 
-  // Dump every metric as JSON, names sorted, histograms with bucket table +
-  // 20-point CDF. Values are read relaxed: quiesce writers for exact totals.
+  // Dump every metric as JSON, names sorted, histograms with count, sum,
+  // mean and a 20-point CDF from sketch quantiles. Values are read relaxed:
+  // quiesce writers for exact totals.
   void write_json(std::ostream& os) const;
 
   // Point-in-time copy of every metric (see MetricsSnapshot).
   MetricsSnapshot snapshot() const;
 
   // Prometheus text exposition (version 0.0.4): dots become underscores,
-  // counters get a _total suffix, histograms emit cumulative _bucket{le=…}
-  // series plus _sum and _count — ready for a scrape endpoint or promtool.
+  // counters get a _total suffix, histograms are summaries with
+  // {quantile="0.5"|"0.9"|"0.99"} series plus _sum and _count — ready for a
+  // scrape endpoint or promtool.
   void write_prometheus(std::ostream& os) const;
 
  private:

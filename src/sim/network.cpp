@@ -114,10 +114,8 @@ NetworkFabric::NetworkFabric(Simulator& sim, std::vector<BytesPerSec> nic_bw,
       flows_started_(obs::counter(obs, "net.flows_started")),
       flows_completed_(obs::counter(obs, "net.flows_completed")),
       bytes_delivered_(obs::gauge(obs, "net.bytes_delivered")),
-      flow_seconds_(obs::histogram(obs, "net.flow_seconds",
-                                   obs::exponential_buckets(0.05, 2.0, 22))),
-      flow_bytes_(obs::histogram(obs, "net.flow_bytes",
-                                 obs::exponential_buckets(1e5, 4.0, 18))) {
+      flow_seconds_(obs::histogram(obs, "net.flow_seconds")),
+      flow_bytes_(obs::histogram(obs, "net.flow_bytes")) {
   DS_CHECK_MSG(!nic_bw_.empty(), "fabric needs at least one node");
   for (const auto bw : nic_bw_) DS_CHECK_MSG(bw > 0, "non-positive NIC bandwidth");
   DS_CHECK_MSG(loopback_bw_ > 0, "non-positive loopback bandwidth");

@@ -1,15 +1,15 @@
 // Observability layer: registry correctness under concurrency, histogram vs
-// the exact metrics::Cdf, tracer ring-buffer semantics, Chrome-JSON export,
-// and — most importantly — the passivity contract: enabling observability
-// must not change a simulation result bit.
+// a standalone QuantileSketch, tracer ring-buffer semantics, Chrome-JSON
+// export, and — most importantly — the passivity contract: enabling
+// observability must not change a simulation result bit.
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "engine/job_run.h"
-#include "metrics/cdf.h"
 #include "obs/obs.h"
 #include "sched/strategy.h"
 #include "sim/cluster.h"
@@ -52,7 +52,7 @@ TEST(Registry, ConcurrentUpdatesAreExact) {
   obs::MetricsRegistry reg;
   obs::Counter c = reg.counter("n");
   obs::Gauge g = reg.gauge("g");
-  obs::Histogram h = reg.histogram("h", obs::linear_buckets(10.0, 10));
+  obs::Histogram h = reg.histogram("h");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   ThreadPool pool(kThreads);
@@ -71,33 +71,21 @@ TEST(Registry, ConcurrentUpdatesAreExact) {
   EXPECT_DOUBLE_EQ(h.sum(), 4950.0 * kThreads * kPerThread / 100.0);
 }
 
-TEST(Histogram, AgreesWithExactCdfWithinABucket) {
+TEST(Histogram, QuantilesMatchAStandaloneSketchBitForBit) {
   obs::MetricsRegistry reg;
-  const double kWidth = 1.0;
-  obs::Histogram h = reg.histogram("h", obs::linear_buckets(kWidth, 200));
-  metrics::Cdf exact;
-  // A deterministic skewed sample set in (0, 200).
+  obs::Histogram h = reg.histogram("h");
+  obs::QuantileSketch sketch;
+  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
+  // A deterministic skewed sample set spanning several decades.
   for (int i = 0; i < 5000; ++i) {
-    const double v = 200.0 * (i / 5000.0) * (i / 5000.0);
+    const double u = i / 5000.0;
+    const double v = 200.0 * u * u * u + 1e-3;
     h.observe(v);
-    exact.add(v);
+    sketch.observe(v);
   }
-  for (double p : {5.0, 25.0, 50.0, 75.0, 95.0, 99.0}) {
-    EXPECT_NEAR(h.percentile(p), exact.percentile(p), kWidth)
-        << "percentile " << p;
-  }
-  for (double v : {10.0, 50.0, 120.0, 180.0}) {
-    EXPECT_NEAR(h.fraction_below(v), exact.fraction_below(v), 1.0)
-        << "fraction below " << v;
-  }
-  // The CDF export covers [~0%, 100%] monotonically.
-  const auto pts = h.points(20);
-  ASSERT_FALSE(pts.empty());
-  EXPECT_DOUBLE_EQ(pts.back().cum_percent, 100.0);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_GE(pts[i].cum_percent, pts[i - 1].cum_percent);
-    EXPECT_GE(pts[i].value, pts[i - 1].value);
-  }
+  ASSERT_EQ(h.count(), sketch.count());
+  for (double q : {0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0})
+    EXPECT_EQ(h.quantile(q), sketch.quantile(q)) << "q " << q;
 }
 
 TEST(Registry, JsonDumpIsWellFormedAndSorted) {
@@ -105,7 +93,9 @@ TEST(Registry, JsonDumpIsWellFormedAndSorted) {
   reg.counter("b.count").inc(2);
   reg.counter("a.count").inc(1);
   reg.gauge("z.level").set(1.5);
-  reg.histogram("lat", obs::linear_buckets(1.0, 4)).observe(2.5);
+  obs::Histogram lat = reg.histogram("lat");
+  lat.observe(2.5);
+  lat.observe(10.0);
   std::ostringstream os;
   reg.write_json(os);
   const std::string s = os.str();
@@ -113,7 +103,17 @@ TEST(Registry, JsonDumpIsWellFormedAndSorted) {
   EXPECT_NE(s.find("\"counters\""), std::string::npos);
   EXPECT_NE(s.find("\"gauges\""), std::string::npos);
   EXPECT_NE(s.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(s.find("\"le\": \"inf\""), std::string::npos);  // overflow bucket
+  // The histogram exports a 20-point CDF of sketch quantiles spanning
+  // 0..100 %, and no bucket table.
+  const auto point = [&](double q) {
+    std::ostringstream pt;
+    pt << "{\"value\": " << std::setprecision(10) << lat.quantile(q)
+       << ", \"cum_percent\": " << 100.0 * q << '}';
+    return pt.str();
+  };
+  EXPECT_NE(s.find("\"cdf\": [" + point(0.0) + ", "), std::string::npos);
+  EXPECT_NE(s.find(", " + point(1.0) + "]"), std::string::npos);
+  EXPECT_EQ(s.find("\"buckets\""), std::string::npos);
   // Crude but effective structural check: braces/brackets balance.
   int depth = 0;
   for (char ch : s) {
@@ -128,7 +128,7 @@ TEST(Registry, SnapshotCopiesTheLiveState) {
   obs::MetricsRegistry reg;
   reg.counter("jobs").inc(3);
   reg.gauge("depth").set(2.5);
-  obs::Histogram h = reg.histogram("lat", obs::linear_buckets(1.0, 10));
+  obs::Histogram h = reg.histogram("lat");
   h.observe(0.5);
   h.observe(4.5);
   const obs::MetricsSnapshot snap = reg.snapshot();
@@ -149,17 +149,23 @@ TEST(Registry, PrometheusExpositionIsWellFormed) {
   obs::MetricsRegistry reg;
   reg.counter("sched.jobs_submitted").inc(4);
   reg.gauge("sched.queue_depth").set(1);
-  reg.histogram("sched.wait", obs::linear_buckets(1.0, 2)).observe(0.5);
+  reg.histogram("sched.wait").observe(0.5);
   std::ostringstream os;
   reg.write_prometheus(os);
   const std::string s = os.str();
-  // Dots become underscores, counters grow a _total suffix, histograms get
-  // cumulative buckets with the +Inf terminator plus _sum/_count.
+  // Dots become underscores, counters grow a _total suffix, histograms are
+  // summaries: three quantile series plus _sum/_count.
   EXPECT_NE(s.find("# TYPE sched_jobs_submitted_total counter"),
             std::string::npos);
   EXPECT_NE(s.find("sched_jobs_submitted_total 4"), std::string::npos);
   EXPECT_NE(s.find("# TYPE sched_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(s.find("sched_wait_bucket{le=\"+Inf\"} 1"), std::string::npos);
+  EXPECT_NE(s.find("# TYPE sched_wait summary"), std::string::npos);
+  for (const char* q : {"0.5", "0.9", "0.99"}) {
+    EXPECT_NE(s.find(std::string("sched_wait{quantile=\"") + q + "\"} 0.5\n"),
+              std::string::npos)
+        << q;
+  }
+  EXPECT_EQ(s.find("_bucket"), std::string::npos);
   EXPECT_NE(s.find("sched_wait_sum 0.5"), std::string::npos);
   EXPECT_NE(s.find("sched_wait_count 1"), std::string::npos);
 }

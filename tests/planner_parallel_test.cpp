@@ -12,6 +12,7 @@
 #include "sim/cluster.h"
 #include "trace/replay.h"
 #include "trace/synthetic.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workloads/workloads.h"
 
@@ -49,6 +50,26 @@ std::vector<std::vector<Seconds>> probe_delays(std::size_t n) {
   return out;
 }
 
+// TriangleCount on an 18-worker, β = 0.2 cluster: with stage 1 delayed by
+// 132.40625 s, stage 2's wave grows mid-run (6 -> 23.28 slots) at a
+// boundary the fast-forward would otherwise freeze. scan() pauses at that
+// boundary while score() can skip it, and concurrent restarts share one
+// memo filled by both, so any disagreement there makes multi-threaded
+// compute() depend on which restart scores a vector first.
+struct WaveGrowthProfile {
+  dag::JobDag dag = workloads::benchmark_suite(0.497)[3].dag;
+  JobProfile profile;
+  WaveGrowthProfile() {
+    auto spec = sim::ClusterSpec::paper_prototype();
+    spec.num_workers = 18;
+    spec.congestion_penalty = 0.2;
+    profile = JobProfile::from(dag, spec);
+  }
+  // `profile` points at `dag`: a copy would point at the original.
+  WaveGrowthProfile(const WaveGrowthProfile&) = delete;
+  WaveGrowthProfile& operator=(const WaveGrowthProfile&) = delete;
+};
+
 TEST(PlannerParallel, ComputeIsBitIdenticalAcrossThreadCounts) {
   const auto spec = sim::ClusterSpec::paper_prototype();
   for (const auto& w : workloads::benchmark_suite()) {
@@ -63,6 +84,23 @@ TEST(PlannerParallel, ComputeIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(a.delay, b.delay) << w.name << " @" << threads;
       EXPECT_EQ(a.predicted_makespan, b.predicted_makespan) << w.name;
       EXPECT_EQ(a.predicted_jct, b.predicted_jct) << w.name;
+    }
+  }
+  // Concurrent restarts race to fill one memo; repeat so an answer that
+  // depends on which restart lands first has many chances to show.
+  const WaveGrowthProfile wg;
+  ASSERT_EQ(wg.dag.name(), "TriangleCount");
+  CalculatorOptions one;
+  one.threads = 1;
+  const DelaySchedule a = DelayCalculator(wg.profile, one).compute();
+  for (int threads : {2, 4}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      CalculatorOptions many = one;
+      many.threads = threads;
+      const DelaySchedule b = DelayCalculator(wg.profile, many).compute();
+      EXPECT_EQ(a.delay, b.delay) << "@" << threads << " rep " << rep;
+      EXPECT_EQ(a.predicted_makespan, b.predicted_makespan) << "@" << threads;
+      EXPECT_EQ(a.predicted_jct, b.predicted_jct) << "@" << threads;
     }
   }
 }
@@ -120,6 +158,36 @@ TEST(PlannerParallel, FastForwardMatchesNaiveMarch) {
     EXPECT_GT(fast.slots_skipped(), 0u) << w.name;
     EXPECT_EQ(naive.slots_skipped(), 0u) << w.name;
   }
+  // Seeded random-delay differential over scales, cluster sizes and
+  // congestion: delays land stages mid-run of others, which is where wave
+  // growth and slot release interact with the frozen-allocation regime.
+  Rng rng(20190805);
+  for (double scale : {0.497, 1.0}) {
+    const auto suite = workloads::benchmark_suite(scale);
+    for (int workers : {10, 18, 30}) {
+      for (double beta : {0.0, 0.2}) {
+        sim::ClusterSpec cs = spec;
+        cs.num_workers = workers;
+        cs.congestion_penalty = beta;
+        for (const auto& w : suite) {
+          const JobProfile profile = JobProfile::from(w.dag, cs);
+          ScheduleEvaluator fast(profile);
+          ScheduleEvaluator naive(profile);
+          naive.set_fast_forward(false);
+          const auto n = static_cast<std::size_t>(w.dag.num_stages());
+          for (int rep = 0; rep < 20; ++rep) {
+            std::vector<Seconds> delay(n, 0.0);
+            for (auto& d : delay)
+              if (rng.chance(0.5)) d = rng.uniform(0.0, 200.0);
+            SCOPED_TRACE(::testing::Message()
+                         << w.name << " scale " << scale << " workers "
+                         << workers << " beta " << beta << " rep " << rep);
+            expect_same_evaluation(fast.evaluate(delay), naive.evaluate(delay));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PlannerParallel, MemoEliminatesDuplicateEvaluationsUnchangedResult) {
@@ -169,6 +237,27 @@ TEST(PlannerParallel, ScanMatchesPerCandidateScore) {
               << w.name << " stage " << k << " x=" << xs[i];
         }
       }
+    }
+  }
+  // The wave-growth profile: scan() pauses at every candidate's admission,
+  // so it processes boundaries that score() would fast-forward over.
+  const WaveGrowthProfile wg;
+  const ScheduleEvaluator eval(wg.profile);
+  std::vector<Seconds> xs;
+  for (int i = 1; i <= 32; ++i) xs.push_back(6.96875 * i);
+  const dag::StageId k = 1;
+  for (bool pooled : {false, true}) {
+    std::vector<Seconds> delay(
+        static_cast<std::size_t>(wg.dag.num_stages()), 0.0);
+    std::vector<Score> scanned;
+    eval.scan(delay, k, xs, scanned, nullptr, pooled ? &pool : nullptr);
+    ASSERT_EQ(scanned.size(), xs.size());
+    EvalScratch scratch;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      delay[static_cast<std::size_t>(k)] = xs[i];
+      const Score direct = eval.score(delay, scratch);
+      EXPECT_EQ(scanned[i].makespan, direct.makespan) << "x=" << xs[i];
+      EXPECT_EQ(scanned[i].jct, direct.jct) << "x=" << xs[i];
     }
   }
 }

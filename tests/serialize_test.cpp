@@ -55,6 +55,24 @@ TEST(JobSpec, RejectsMalformedInput) {
       CheckError);  // cycle
 }
 
+TEST(JobSpec, RejectsTaskCountsBeyondInt) {
+  // 2^32 + 1 used to wrap to a 1-task stage; 2^31 to a negative count.
+  for (const char* tasks : {"4294967297", "2147483648"}) {
+    try {
+      load_job_spec_text(std::string("stage,a,") + tasks + ",1,100,1,0\n");
+      ADD_FAILURE() << tasks << " tasks accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 1: bad task count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(load_job_spec_text("stage,a,2147483647,1,100,1,0\n")
+                .stage(0)
+                .num_tasks,
+            2147483647);
+}
+
 TEST(JobSpec, CommentsAndBlankLinesIgnored) {
   const JobDag j = load_job_spec_text(
       "\n# header\n\nstage,only,4,1.0,1.0,0.5,0\n\n# trailing\n");
