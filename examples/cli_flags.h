@@ -230,24 +230,19 @@ class ObsSink {
                 << " span(s) dropped — raise TracerOptions::ring_capacity "
                    "for a complete timeline\n";
     }
-    if (!trace_out_.empty()) {
-      std::ofstream out(trace_out_);
-      if (!out) throw std::runtime_error("cannot write " + trace_out_);
-      obs_->tracer.write_chrome_json(out);
-      if (!out) throw std::runtime_error("failed writing " + trace_out_);
-    }
-    if (!metrics_out_.empty()) {
-      std::ofstream out(metrics_out_);
-      if (!out) throw std::runtime_error("cannot write " + metrics_out_);
-      obs_->metrics.write_json(out);
-      if (!out) throw std::runtime_error("failed writing " + metrics_out_);
-    }
-    if (!prom_out_.empty()) {
-      std::ofstream out(prom_out_);
-      if (!out) throw std::runtime_error("cannot write " + prom_out_);
-      obs_->metrics.write_prometheus(out);
-      if (!out) throw std::runtime_error("failed writing " + prom_out_);
-    }
+    const auto write_file = [](const std::string& path, auto&& emit) {
+      if (path.empty()) return;
+      std::ofstream out(path);
+      if (!out) throw std::runtime_error("cannot write " + path);
+      emit(out);
+      if (!out) throw std::runtime_error("failed writing " + path);
+    };
+    write_file(trace_out_,
+               [&](std::ostream& os) { obs_->tracer.write_chrome_json(os); });
+    write_file(metrics_out_,
+               [&](std::ostream& os) { obs_->metrics.write_json(os); });
+    write_file(prom_out_,
+               [&](std::ostream& os) { obs_->metrics.write_prometheus(os); });
     // Final trail overwrite: --flight-out always ends up holding the most
     // recent records (a mid-run anomaly dump is superseded by this fuller
     // one — the anomaly's records are still in the trail unless the ring

@@ -8,6 +8,7 @@
 // (Fig. 7's Stage 4 / P3).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -34,6 +35,25 @@ Seconds path_time(const ExecutionPath& p, DurationFn&& dur) {
   Seconds t = 0;
   for (StageId s : p.stages) t += dur(s);
   return t;
+}
+
+// Heaviest dependency chain: the largest sum of weight(s) along any path of
+// the DAG, 0 for an empty one. With ^t_k weights this is the solo-time
+// critical-path bound; a weight of 0 outside a stage subset measures the
+// chain restricted to that subset. Cycles die in topo_order()'s check.
+template <typename WeightFn>
+Seconds longest_path(const JobDag& dag, WeightFn&& weight) {
+  std::vector<Seconds> longest(static_cast<std::size_t>(dag.num_stages()), 0);
+  Seconds best = 0;
+  for (StageId s : dag.topo_order()) {
+    Seconds from_parents = 0;
+    for (StageId p : dag.parents(s))
+      from_parents =
+          std::max(from_parents, longest[static_cast<std::size_t>(p)]);
+    longest[static_cast<std::size_t>(s)] = from_parents + weight(s);
+    best = std::max(best, longest[static_cast<std::size_t>(s)]);
+  }
+  return best;
 }
 
 }  // namespace ds::dag

@@ -1,48 +1,35 @@
 #include "obs/analytics/report.h"
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
+
+#include "util/json.h"
 
 namespace ds::obs::analytics {
 
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
+using json::number;
 
 void term_json(std::ostream& os, const char* key, const TermDrift& t) {
-  os << '"' << key << "\": {\"predicted_s\": " << num(t.predicted)
-     << ", \"actual_s\": " << num(t.actual)
-     << ", \"residual_s\": " << num(t.residual())
-     << ", \"rel_error\": " << num(t.rel_error) << '}';
+  os << '"' << key << "\": {\"predicted_s\": " << number(t.predicted)
+     << ", \"actual_s\": " << number(t.actual)
+     << ", \"residual_s\": " << number(t.residual())
+     << ", \"rel_error\": " << number(t.rel_error) << '}';
 }
 
 void summary_json(std::ostream& os, const char* key, const DriftSummary& s) {
   os << '"' << key << "\": {\"count\": " << s.count
-     << ", \"mean\": " << num(s.mean) << ", \"p50\": " << num(s.p50)
-     << ", \"p90\": " << num(s.p90) << ", \"max\": " << num(s.max) << '}';
+     << ", \"mean\": " << number(s.mean) << ", \"p50\": " << number(s.p50)
+     << ", \"p90\": " << number(s.p90) << ", \"max\": " << number(s.max) << '}';
 }
 
 void timeline_json(std::ostream& os, const char* key,
                    const ResourceTimeline& t) {
-  os << '"' << key << "\": {\"busy_s\": " << num(t.busy_seconds)
-     << ", \"idle_s\": " << num(t.idle_seconds)
-     << ", \"busy_fraction\": " << num(t.busy_fraction)
-     << ", \"idle_fraction\": " << num(t.idle_fraction) << '}';
+  os << '"' << key << "\": {\"busy_s\": " << number(t.busy_seconds)
+     << ", \"idle_s\": " << number(t.idle_seconds)
+     << ", \"busy_fraction\": " << number(t.busy_fraction)
+     << ", \"idle_fraction\": " << number(t.idle_fraction) << '}';
 }
 
 void worker_json(std::ostream& os, const WorkerInterleaving& w,
@@ -54,10 +41,10 @@ void worker_json(std::ostream& os, const WorkerInterleaving& w,
   os << ",\n" << indent << "  ";
   timeline_json(os, "disk", w.disk);
   os << ",\n"
-     << indent << "  \"overlap_s\": " << num(w.net_cpu_overlap) << ",\n"
-     << indent << "  \"overlap_fraction\": " << num(w.overlap_fraction)
+     << indent << "  \"overlap_s\": " << number(w.net_cpu_overlap) << ",\n"
+     << indent << "  \"overlap_fraction\": " << number(w.overlap_fraction)
      << ",\n"
-     << indent << "  \"interleaving_score\": " << num(w.interleaving_score)
+     << indent << "  \"interleaving_score\": " << number(w.interleaving_score)
      << "\n" << indent << '}';
 }
 
@@ -66,8 +53,9 @@ void drift_json(std::ostream& os, const DriftReport& d) {
   for (std::size_t i = 0; i < d.stages.size(); ++i) {
     const StageDrift& s = d.stages[i];
     os << (i == 0 ? "" : ",") << "\n      {\"stage\": " << s.stage
-       << ", \"name\": " << quoted(s.name)
-       << ", \"delay_s\": " << num(s.delay) << ",\n       ";
+       << ", \"name\": ";
+    json::write_string(os, s.name);
+    os << ", \"delay_s\": " << number(s.delay) << ",\n       ";
     term_json(os, "network", s.network);
     os << ",\n       ";
     term_json(os, "compute", s.compute);
@@ -86,13 +74,15 @@ void drift_json(std::ostream& os, const DriftReport& d) {
   os << ",\n    ";
   summary_json(os, "duration", d.duration);
   os << ",\n    \"warnings\": [";
-  for (std::size_t i = 0; i < d.warnings.size(); ++i)
-    os << (i == 0 ? "" : ", ") << quoted(d.warnings[i]);
+  for (std::size_t i = 0; i < d.warnings.size(); ++i) {
+    os << (i == 0 ? "" : ", ");
+    json::write_string(os, d.warnings[i]);
+  }
   os << "]\n  }";
 }
 
 void interleaving_json(std::ostream& os, const InterleavingReport& r) {
-  os << "{\n    \"horizon_s\": " << num(r.horizon)
+  os << "{\n    \"horizon_s\": " << number(r.horizon)
      << ",\n    \"workers\": [";
   for (std::size_t i = 0; i < r.workers.size(); ++i) {
     os << (i == 0 ? "" : ",") << "\n      ";
@@ -105,29 +95,31 @@ void interleaving_json(std::ostream& os, const InterleavingReport& r) {
 
 void fleet_util_json(std::ostream& os, const FleetUtilization& f) {
   os << "\"jobs\": " << f.jobs << ",\n      \"mean_jct_s\": "
-     << num(f.mean_jct_s)
-     << ",\n      \"mean_dedicated_s\": " << num(f.mean_dedicated_s)
-     << ",\n      \"cluster_cpu_pct\": " << num(f.cluster_cpu_pct)
-     << ",\n      \"cluster_net_pct\": " << num(f.cluster_net_pct)
-     << ",\n      \"job_cpu_pct\": " << num(f.job_cpu_pct)
-     << ",\n      \"job_net_pct\": " << num(f.job_net_pct)
-     << ",\n      \"job_cpu_idle_pct\": " << num(f.job_cpu_idle_pct)
-     << ",\n      \"job_net_idle_pct\": " << num(f.job_net_idle_pct)
-     << ",\n      \"job_cpu_p50\": " << num(f.job_cpu_p50)
-     << ",\n      \"job_cpu_p90\": " << num(f.job_cpu_p90)
-     << ",\n      \"job_net_p50\": " << num(f.job_net_p50)
-     << ",\n      \"job_net_p90\": " << num(f.job_net_p90)
-     << ",\n      \"mean_planned_delay_s\": " << num(f.mean_planned_delay_s);
+     << number(f.mean_jct_s)
+     << ",\n      \"mean_dedicated_s\": " << number(f.mean_dedicated_s)
+     << ",\n      \"cluster_cpu_pct\": " << number(f.cluster_cpu_pct)
+     << ",\n      \"cluster_net_pct\": " << number(f.cluster_net_pct)
+     << ",\n      \"job_cpu_pct\": " << number(f.job_cpu_pct)
+     << ",\n      \"job_net_pct\": " << number(f.job_net_pct)
+     << ",\n      \"job_cpu_idle_pct\": " << number(f.job_cpu_idle_pct)
+     << ",\n      \"job_net_idle_pct\": " << number(f.job_net_idle_pct)
+     << ",\n      \"job_cpu_p50\": " << number(f.job_cpu_p50)
+     << ",\n      \"job_cpu_p90\": " << number(f.job_cpu_p90)
+     << ",\n      \"job_net_p50\": " << number(f.job_net_p50)
+     << ",\n      \"job_net_p90\": " << number(f.job_net_p90)
+     << ",\n      \"mean_planned_delay_s\": " << number(f.mean_planned_delay_s);
 }
 
 // CSV field orders are part of the pinned schema — keep in sync with the
 // header comments below and the golden test.
 void worker_csv_row(std::ostream& os, const WorkerInterleaving& w) {
-  os << w.pid << ',' << num(w.network.busy_seconds) << ','
-     << num(w.network.idle_fraction) << ',' << num(w.cpu.busy_seconds) << ','
-     << num(w.cpu.idle_fraction) << ',' << num(w.disk.busy_seconds) << ','
-     << num(w.disk.idle_fraction) << ',' << num(w.net_cpu_overlap) << ','
-     << num(w.overlap_fraction) << ',' << num(w.interleaving_score) << '\n';
+  os << w.pid << ',' << number(w.network.busy_seconds) << ','
+     << number(w.network.idle_fraction) << ','
+     << number(w.cpu.busy_seconds) << ',' << number(w.cpu.idle_fraction)
+     << ',' << number(w.disk.busy_seconds) << ','
+     << number(w.disk.idle_fraction) << ',' << number(w.net_cpu_overlap)
+     << ',' << number(w.overlap_fraction) << ','
+     << number(w.interleaving_score) << '\n';
 }
 
 }  // namespace
@@ -157,10 +149,12 @@ FleetStrategyReport fleet_strategy_report(const std::string& strategy,
 }
 
 void write_json(std::ostream& os, const JobReport& report) {
-  os << "{\n  \"job\": " << quoted(report.job)
-     << ",\n  \"strategy\": " << quoted(report.strategy)
-     << ",\n  \"jct_s\": " << num(report.jct_s)
-     << ",\n  \"predicted_makespan_s\": " << num(report.predicted_makespan_s)
+  os << "{\n  \"job\": ";
+  json::write_string(os, report.job);
+  os << ",\n  \"strategy\": ";
+  json::write_string(os, report.strategy);
+  os << ",\n  \"jct_s\": " << number(report.jct_s)
+     << ",\n  \"predicted_makespan_s\": " << number(report.predicted_makespan_s)
      << ",\n  \"drift\": ";
   drift_json(os, report.drift);
   os << ",\n  \"interleaving\": ";
@@ -169,22 +163,25 @@ void write_json(std::ostream& os, const JobReport& report) {
 }
 
 void write_json(std::ostream& os, const FleetReport& report) {
-  os << "{\n  \"trace\": " << quoted(report.trace)
-     << ",\n  \"strategies\": [";
+  os << "{\n  \"trace\": ";
+  json::write_string(os, report.trace);
+  os << ",\n  \"strategies\": [";
   for (std::size_t i = 0; i < report.strategies.size(); ++i) {
     const FleetStrategyReport& s = report.strategies[i];
-    os << (i == 0 ? "" : ",") << "\n    {\n      \"strategy\": "
-       << quoted(s.strategy) << ",\n      ";
+    os << (i == 0 ? "" : ",") << "\n    {\n      \"strategy\": ";
+    json::write_string(os, s.strategy);
+    os << ",\n      ";
     fleet_util_json(os, s.util);
     os << ",\n      \"jobs_detail\": [";
     for (std::size_t j = 0; j < s.jobs.size(); ++j) {
       const FleetJobRow& r = s.jobs[j];
-      os << (j == 0 ? "" : ",") << "\n        {\"submit_s\": " << num(r.submit)
-         << ", \"jct_s\": " << num(r.jct)
-         << ", \"dedicated_s\": " << num(r.dedicated)
-         << ", \"cpu_util_pct\": " << num(r.cpu_util_pct)
-         << ", \"net_util_pct\": " << num(r.net_util_pct)
-         << ", \"planned_delay_s\": " << num(r.planned_delay) << '}';
+      os << (j == 0 ? "" : ",") << "\n        {\"submit_s\": "
+         << number(r.submit)
+         << ", \"jct_s\": " << number(r.jct)
+         << ", \"dedicated_s\": " << number(r.dedicated)
+         << ", \"cpu_util_pct\": " << number(r.cpu_util_pct)
+         << ", \"net_util_pct\": " << number(r.net_util_pct)
+         << ", \"planned_delay_s\": " << number(r.planned_delay) << '}';
     }
     os << (s.jobs.empty() ? "" : "\n      ") << "]\n    }";
   }
@@ -205,9 +202,9 @@ void write_csv(std::ostream& os, const JobReport& report) {
                  {"duration", &s.duration}};
     for (const auto& [tname, t] : terms) {
       os << report.job << ',' << report.strategy << ',' << s.stage << ','
-         << s.name << ',' << num(s.delay) << ',' << tname << ','
-         << num(t->predicted) << ',' << num(t->actual) << ','
-         << num(t->residual()) << ',' << num(t->rel_error) << '\n';
+         << s.name << ',' << number(s.delay) << ',' << tname << ','
+         << number(t->predicted) << ',' << number(t->actual) << ','
+         << number(t->residual()) << ',' << number(t->rel_error) << '\n';
     }
   }
   os << "\n# interleaving\n"
@@ -227,13 +224,14 @@ void write_csv(std::ostream& os, const FleetReport& report) {
         "mean_planned_delay_s\n";
   for (const FleetStrategyReport& s : report.strategies) {
     const FleetUtilization& f = s.util;
-    os << s.strategy << ',' << f.jobs << ',' << num(f.mean_jct_s) << ','
-       << num(f.mean_dedicated_s) << ',' << num(f.cluster_cpu_pct) << ','
-       << num(f.cluster_net_pct) << ',' << num(f.job_cpu_pct) << ','
-       << num(f.job_net_pct) << ',' << num(f.job_cpu_idle_pct) << ','
-       << num(f.job_net_idle_pct) << ',' << num(f.job_cpu_p50) << ','
-       << num(f.job_cpu_p90) << ',' << num(f.job_net_p50) << ','
-       << num(f.job_net_p90) << ',' << num(f.mean_planned_delay_s) << '\n';
+    os << s.strategy << ',' << f.jobs << ',' << number(f.mean_jct_s) << ','
+       << number(f.mean_dedicated_s) << ',' << number(f.cluster_cpu_pct) << ','
+       << number(f.cluster_net_pct) << ',' << number(f.job_cpu_pct) << ','
+       << number(f.job_net_pct) << ',' << number(f.job_cpu_idle_pct) << ','
+       << number(f.job_net_idle_pct) << ',' << number(f.job_cpu_p50) << ','
+       << number(f.job_cpu_p90) << ',' << number(f.job_net_p50) << ','
+       << number(f.job_net_p90) << ',' << number(f.mean_planned_delay_s)
+       << '\n';
   }
   bool any_jobs = false;
   for (const FleetStrategyReport& s : report.strategies)
@@ -244,9 +242,9 @@ void write_csv(std::ostream& os, const FleetReport& report) {
         "planned_delay_s\n";
   for (const FleetStrategyReport& s : report.strategies) {
     for (const FleetJobRow& r : s.jobs) {
-      os << s.strategy << ',' << num(r.submit) << ',' << num(r.jct) << ','
-         << num(r.dedicated) << ',' << num(r.cpu_util_pct) << ','
-         << num(r.net_util_pct) << ',' << num(r.planned_delay) << '\n';
+      os << s.strategy << ',' << number(r.submit) << ',' << number(r.jct) << ','
+         << number(r.dedicated) << ',' << number(r.cpu_util_pct) << ','
+         << number(r.net_util_pct) << ',' << number(r.planned_delay) << '\n';
     }
   }
 }

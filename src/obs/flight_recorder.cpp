@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.h"
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -21,14 +20,8 @@ void crash_hook(const std::string& what) {
     rec->on_anomaly(what.c_str());
 }
 
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
 void write_record(std::ostream& os, const FlightRecord& r) {
-  os << "{\"v\": 1, \"seq\": " << r.seq << ", \"t\": " << fmt_number(r.t)
+  os << "{\"v\": 1, \"seq\": " << r.seq << ", \"t\": " << json::number(r.t, 12)
      << ", \"ev\": \"" << to_string(r.kind) << '"';
   if (r.job != 0) os << ", \"job\": " << r.job;
   if (r.stage >= 0) os << ", \"stage\": " << r.stage;
@@ -38,10 +31,11 @@ void write_record(std::ostream& os, const FlightRecord& r) {
     json::write_string(os, r.label);
   }
   if (r.queue_depth >= 0)
-    os << ", \"queue_depth\": " << fmt_number(r.queue_depth);
-  if (r.occupancy >= 0) os << ", \"occupancy\": " << fmt_number(r.occupancy);
-  os << ", \"value\": " << fmt_number(r.value)
-     << ", \"aux\": " << fmt_number(r.aux);
+    os << ", \"queue_depth\": " << json::number(r.queue_depth, 12);
+  if (r.occupancy >= 0)
+    os << ", \"occupancy\": " << json::number(r.occupancy, 12);
+  os << ", \"value\": " << json::number(r.value, 12)
+     << ", \"aux\": " << json::number(r.aux, 12);
   if (r.cache >= 0) os << ", \"cache\": \"" << (r.cache ? "hit" : "miss")
                        << '"';
   os << "}\n";
@@ -69,11 +63,9 @@ const char* to_string(FlightKind kind) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions opt)
-    : opt_(std::move(opt)) {
-  if (opt_.enabled) {
-    DS_CHECK_MSG(opt_.capacity > 0, "flight recorder needs capacity >= 1");
-    ring_.resize(opt_.capacity);
-  }
+    : opt_(std::move(opt)), ring_(opt_.enabled ? opt_.capacity : 0) {
+  DS_CHECK_MSG(!opt_.enabled || opt_.capacity > 0,
+               "flight recorder needs capacity >= 1");
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -84,48 +76,35 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::record(FlightRecord r) {
   if (!opt_.enabled) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  r.seq = head_;
   if (r.label == nullptr) r.label = "";
-  ring_[static_cast<std::size_t>(head_ % ring_.size())] = r;
-  ++head_;
+  std::lock_guard<std::mutex> lock(mu_);
+  ring_.push(r);
 }
 
 const char* FlightRecorder::intern(const std::string& s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = intern_index_.find(s);
-  if (it != intern_index_.end()) return it->second;
-  interned_.push_back(s);
-  const char* p = interned_.back().c_str();
-  intern_index_.emplace(s, p);
-  return p;
+  return interned_.intern(s);
 }
 
 std::uint64_t FlightRecorder::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return head_;
+  return ring_.pushed();
 }
 
 std::uint64_t FlightRecorder::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return head_ > ring_.size() ? head_ - ring_.size() : 0;
+  return ring_.dropped();
 }
 
 std::size_t FlightRecorder::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(
-      head_ < ring_.size() ? head_ : ring_.size());
+  return static_cast<std::size_t>(ring_.kept());
 }
 
 std::vector<FlightRecord> FlightRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FlightRecord> out;
-  if (!opt_.enabled || head_ == 0) return out;
-  const std::uint64_t n =
-      head_ < ring_.size() ? head_ : static_cast<std::uint64_t>(ring_.size());
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = head_ - n; i < head_; ++i)
-    out.push_back(ring_[static_cast<std::size_t>(i % ring_.size())]);
+  out.reserve(static_cast<std::size_t>(ring_.kept()));
+  ring_.append_to(out);
   return out;
 }
 
@@ -139,13 +118,8 @@ bool FlightRecorder::dump_now(const char* reason) {
   auto write_all = [&](std::ostream& os) {
     os << "{\"v\": 1, \"ev\": \"dump\", \"reason\": ";
     json::write_string(os, reason != nullptr ? reason : "");
-    std::uint64_t total = 0, lost = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      total = head_;
-      lost = head_ > ring_.size() ? head_ - ring_.size() : 0;
-    }
-    os << ", \"recorded\": " << total << ", \"dropped\": " << lost << "}\n";
+    os << ", \"recorded\": " << recorded() << ", \"dropped\": " << dropped()
+       << "}\n";
     for (const FlightRecord& r : trail) write_record(os, r);
   };
   if (opt_.dump_path == "-") {

@@ -27,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace ds::obs {
 
@@ -121,10 +121,8 @@ class FlightRecorder {
  private:
   const FlightRecorderOptions opt_;
   mutable std::mutex mu_;
-  std::vector<FlightRecord> ring_;
-  std::uint64_t head_ = 0;  // total records ever written
-  std::deque<std::string> interned_;
-  std::map<std::string, const char*> intern_index_;
+  Ring<FlightRecord> ring_;
+  InternTable interned_;
 };
 
 // Register `rec` with the DS_CHECK failure hook: any failed check dumps the

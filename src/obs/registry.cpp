@@ -1,19 +1,10 @@
 #include "obs/registry.h"
 
-#include <cstdio>
 #include <ostream>
 
+#include "util/json.h"
+
 namespace ds::obs {
-
-namespace {
-
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-}  // namespace
 
 void Histogram::observe(double v) const {
   if (cell_ == nullptr) return;
@@ -98,7 +89,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, cell] : gauges_) {
     os << (first ? "" : ",") << "\n    \"" << name << "\": "
-       << fmt_number(cell->value.load(std::memory_order_relaxed));
+       << json::number(cell->value.load(std::memory_order_relaxed));
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -107,8 +98,8 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     std::lock_guard<std::mutex> cell_lock(cell->mu);
     os << (first ? "" : ",") << "\n    \"" << name << "\": {\n"
        << "      \"count\": " << cell->sketch.count() << ",\n"
-       << "      \"sum\": " << fmt_number(cell->sum) << ",\n"
-       << "      \"mean\": " << fmt_number(cell->mean())
+       << "      \"sum\": " << json::number(cell->sum) << ",\n"
+       << "      \"mean\": " << json::number(cell->mean())
        << ",\n      \"cdf\": [";
     if (!cell->sketch.empty()) {
       constexpr int kPoints = 20;
@@ -116,8 +107,8 @@ void MetricsRegistry::write_json(std::ostream& os) const {
         const double q =
             static_cast<double>(i) / static_cast<double>(kPoints - 1);
         os << (i == 0 ? "" : ", ") << "{\"value\": "
-           << fmt_number(cell->sketch.quantile(q)) << ", \"cum_percent\": "
-           << fmt_number(100.0 * q) << '}';
+           << json::number(cell->sketch.quantile(q)) << ", \"cum_percent\": "
+           << json::number(100.0 * q) << '}';
       }
     }
     os << "]\n    }";
@@ -180,17 +171,17 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
     const std::string p = prom_name(name);
     os << "# TYPE " << p << " gauge\n"
        << p << ' '
-       << fmt_number(cell->value.load(std::memory_order_relaxed)) << '\n';
+       << json::number(cell->value.load(std::memory_order_relaxed)) << '\n';
   }
   for (const auto& [name, cell] : histograms_) {
     const std::string p = prom_name(name);
     std::lock_guard<std::mutex> cell_lock(cell->mu);
     os << "# TYPE " << p << " summary\n";
     for (double q : {0.5, 0.9, 0.99}) {
-      os << p << "{quantile=\"" << fmt_number(q) << "\"} "
-         << fmt_number(cell->sketch.quantile(q)) << '\n';
+      os << p << "{quantile=\"" << json::number(q) << "\"} "
+         << json::number(cell->sketch.quantile(q)) << '\n';
     }
-    os << p << "_sum " << fmt_number(cell->sum) << '\n'
+    os << p << "_sum " << json::number(cell->sum) << '\n'
        << p << "_count " << cell->sketch.count() << '\n';
   }
 }

@@ -1,6 +1,5 @@
 #include "obs/slo.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <ostream>
 
@@ -12,12 +11,6 @@
 namespace ds::obs {
 
 namespace {
-
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 Status bad_rule(std::string_view text, const char* why) {
   return Status::error("bad SLO rule '" + std::string(text) + "': " + why +
@@ -151,7 +144,7 @@ bool SloTracker::violated(std::size_t rule_index) const {
 }
 
 void SloTracker::write_ndjson(std::ostream& os, double t) const {
-  os << "{\"v\": 1, \"ev\": \"slo\", \"t\": " << fmt_number(t)
+  os << "{\"v\": 1, \"ev\": \"slo\", \"t\": " << json::number(t, 12)
      << ", \"violations\": " << violations_ << ", \"rules\": [";
   for (std::size_t i = 0; i < opt_.rules.size(); ++i) {
     const SloRule& rule = opt_.rules[i];
@@ -159,10 +152,10 @@ void SloTracker::write_ndjson(std::ostream& os, double t) const {
     os << (i == 0 ? "" : ", ") << "{\"spec\": ";
     json::write_string(os, rule.spec);
     os << ", \"metric\": \"" << to_string(rule.metric)
-       << "\", \"quantile\": " << fmt_number(rule.quantile)
-       << ", \"threshold\": " << fmt_number(rule.threshold)
+       << "\", \"quantile\": " << json::number(rule.quantile, 12)
+       << ", \"threshold\": " << json::number(rule.threshold, 12)
        << ", \"count\": " << fleet.count() << ", \"value\": "
-       << fmt_number(fleet.empty() ? 0.0 : fleet.quantile(rule.quantile))
+       << json::number(fleet.empty() ? 0.0 : fleet.quantile(rule.quantile), 12)
        << ", \"violated\": " << (violated_[i] ? "true" : "false") << '}';
   }
   os << "]}\n";

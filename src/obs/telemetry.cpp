@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <cstdio>
 #include <ostream>
 
 #include "obs/obs.h"
@@ -9,12 +8,6 @@
 namespace ds::obs {
 
 namespace {
-
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 bool has_prefix(const std::string& name, const std::string& prefix) {
   return name.compare(0, prefix.size(), prefix) == 0;
@@ -43,7 +36,7 @@ bool TelemetrySink::keep(const std::string& name) const {
 void TelemetrySink::snapshot(Observability& obs, double t) {
   obs.refresh_derived();
   const MetricsSnapshot snap = obs.metrics.snapshot();
-  os_ << "{\"v\": 1, \"seq\": " << seq_++ << ", \"t\": " << fmt_number(t)
+  os_ << "{\"v\": 1, \"seq\": " << seq_++ << ", \"t\": " << json::number(t, 12)
       << ", \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
@@ -59,7 +52,7 @@ void TelemetrySink::snapshot(Observability& obs, double t) {
     if (!keep(name)) continue;
     os_ << (first ? "" : ", ");
     json::write_string(os_, name);
-    os_ << ": " << fmt_number(value);
+    os_ << ": " << json::number(value, 12);
     first = false;
   }
   os_ << "}, \"histograms\": {";
@@ -68,11 +61,12 @@ void TelemetrySink::snapshot(Observability& obs, double t) {
     if (!keep(h.name)) continue;
     os_ << (first ? "" : ", ");
     json::write_string(os_, h.name);
-    os_ << ": {\"count\": " << h.count << ", \"sum\": " << fmt_number(h.sum)
-        << ", \"mean\": " << fmt_number(h.mean)
-        << ", \"p50\": " << fmt_number(h.p50)
-        << ", \"p90\": " << fmt_number(h.p90)
-        << ", \"p99\": " << fmt_number(h.p99) << '}';
+    os_ << ": {\"count\": " << h.count
+        << ", \"sum\": " << json::number(h.sum, 12)
+        << ", \"mean\": " << json::number(h.mean, 12)
+        << ", \"p50\": " << json::number(h.p50, 12)
+        << ", \"p90\": " << json::number(h.p90, 12)
+        << ", \"p99\": " << json::number(h.p99, 12) << '}';
     first = false;
   }
   os_ << "}}\n";

@@ -2,44 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <ostream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace ds::obs {
 
 namespace {
 
 std::atomic<std::uint64_t> g_tracer_ids{1};
-
-void write_number(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  os << buf;
-}
-
-void write_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -74,21 +46,13 @@ Tracer::ThreadLog& Tracer::local() {
       return *l;
     }
   }
-  auto log = std::make_unique<ThreadLog>();
-  log->owner = me;
-  log->ring.resize(opt_.ring_capacity);
-  logs_.push_back(std::move(log));
+  logs_.push_back(std::make_unique<ThreadLog>(
+      ThreadLog{me, Ring<TraceEvent>(opt_.ring_capacity)}));
   cache = {id_, logs_.back().get()};
   return *cache.log;
 }
 
-void Tracer::record(const TraceEvent& ev) {
-  ThreadLog& log = local();
-  TraceEvent& slot = log.ring[log.head % log.ring.size()];
-  slot = ev;
-  slot.seq = log.head;
-  ++log.head;
-}
+void Tracer::record(const TraceEvent& ev) { local().ring.push(ev); }
 
 void Tracer::complete(const char* cat, const char* name, double ts_s,
                       double dur_s, std::int32_t pid, std::int32_t tid,
@@ -138,13 +102,7 @@ void Tracer::counter(const char* cat, const char* name, double ts_s,
 }
 
 const char* Tracer::intern(const std::string& s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = intern_index_.find(s);
-  if (it != intern_index_.end()) return it->second;
-  interned_.push_back(s);  // deque: element addresses are stable
-  const char* p = interned_.back().c_str();
-  intern_index_.emplace(s, p);
-  return p;
+  return interned_.intern(s);
 }
 
 void Tracer::set_process_name(std::int32_t pid, const std::string& name) {
@@ -163,15 +121,14 @@ void Tracer::set_thread_name(std::int32_t pid, std::int32_t tid,
 std::uint64_t Tracer::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t n = 0;
-  for (const auto& l : logs_) n += std::min<std::uint64_t>(l->head, l->ring.size());
+  for (const auto& l : logs_) n += l->ring.kept();
   return n;
 }
 
 std::uint64_t Tracer::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t n = 0;
-  for (const auto& l : logs_)
-    n += l->head > l->ring.size() ? l->head - l->ring.size() : 0;
+  for (const auto& l : logs_) n += l->ring.dropped();
   return n;
 }
 
@@ -179,12 +136,7 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& l : logs_) {
-      const std::uint64_t kept = std::min<std::uint64_t>(l->head, l->ring.size());
-      const std::uint64_t first = l->head - kept;
-      for (std::uint64_t i = first; i < l->head; ++i)
-        out.push_back(l->ring[i % l->ring.size()]);
-    }
+    for (const auto& l : logs_) l->ring.append_to(out);
   }
   std::sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
@@ -197,13 +149,11 @@ std::vector<TraceEvent> Tracer::snapshot() const {
 
 void Tracer::write_chrome_json(std::ostream& os) const {
   const std::vector<TraceEvent> events = snapshot();
+  const std::uint64_t dropped_events = dropped();
   std::vector<Meta> meta;
-  std::uint64_t dropped_events = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     meta = meta_;
-    for (const auto& l : logs_)
-      dropped_events += l->head > l->ring.size() ? l->head - l->ring.size() : 0;
   }
 
   os << "{\"traceEvents\":[";
@@ -213,32 +163,32 @@ void Tracer::write_chrome_json(std::ostream& os) const {
        << R"({"ph":"M","name":")" << (m.thread ? "thread_name" : "process_name")
        << R"(","pid":)" << m.pid << R"(,"tid":)" << m.tid
        << R"(,"args":{"name":)";
-    write_string(os, m.name.c_str());
+    json::write_string(os, m.name.c_str());
     os << "}}";
     first = false;
   }
   for (const auto& ev : events) {
     os << (first ? "\n" : ",\n") << R"({"ph":")" << ev.phase << R"(","name":)";
-    write_string(os, ev.name);
+    json::write_string(os, ev.name);
     os << R"(,"cat":)";
-    write_string(os, ev.cat[0] != '\0' ? ev.cat : "trace");
+    json::write_string(os, ev.cat[0] != '\0' ? ev.cat : "trace");
     os << R"(,"ts":)";
-    write_number(os, ev.ts_us);
+    os << json::number(ev.ts_us);
     if (ev.phase == 'X') {
       os << R"(,"dur":)";
-      write_number(os, ev.dur_us);
+      os << json::number(ev.dur_us);
     }
     if (ev.phase == 'i') os << R"(,"s":"t")";
     os << R"(,"pid":)" << ev.pid << R"(,"tid":)" << ev.tid;
     if (ev.phase == 'C') {
       os << R"(,"args":{"value":)";
-      write_number(os, ev.arg_value);
+      os << json::number(ev.arg_value);
       os << "}";
     } else if (ev.arg_name != nullptr) {
       os << R"(,"args":{)";
-      write_string(os, ev.arg_name);
+      json::write_string(os, ev.arg_name);
       os << ':';
-      write_number(os, ev.arg_value);
+      os << json::number(ev.arg_value);
       os << '}';
     }
     os << '}';

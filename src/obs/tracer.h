@@ -21,14 +21,14 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace ds::obs {
 
@@ -95,8 +95,7 @@ class Tracer {
  private:
   struct ThreadLog {
     std::thread::id owner;
-    std::vector<TraceEvent> ring;
-    std::uint64_t head = 0;  // total events ever written by this thread
+    Ring<TraceEvent> ring;
   };
   struct Meta {
     std::int32_t pid = 0;
@@ -113,8 +112,7 @@ class Tracer {
   const std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ThreadLog>> logs_;
-  std::deque<std::string> interned_;
-  std::map<std::string, const char*> intern_index_;
+  InternTable interned_;
   std::vector<Meta> meta_;
 };
 

@@ -1,11 +1,8 @@
 #include "service/policy.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "core/evaluator.h"
 #include "core/perf_model.h"
-#include "dag/job.h"
+#include "dag/paths.h"
 
 namespace ds::service {
 
@@ -39,20 +36,9 @@ Seconds predicted_dedicated_jct(const core::JobProfile& profile,
 }
 
 Seconds critical_path_time(const core::JobProfile& profile) {
-  const dag::JobDag& dag = *profile.dag;
-  core::PerfModel model(profile);
-  std::vector<Seconds> longest(static_cast<std::size_t>(dag.num_stages()), 0);
-  Seconds best = 0;
-  for (dag::StageId s : dag.topo_order()) {
-    const auto i = static_cast<std::size_t>(s);
-    Seconds from_parents = 0;
-    for (dag::StageId p : dag.parents(s))
-      from_parents =
-          std::max(from_parents, longest[static_cast<std::size_t>(p)]);
-    longest[i] = from_parents + model.solo_time(s);
-    best = std::max(best, longest[i]);
-  }
-  return best;
+  const core::PerfModel model(profile);
+  return dag::longest_path(*profile.dag,
+                           [&](dag::StageId s) { return model.solo_time(s); });
 }
 
 double policy_score(OrderPolicy policy, Seconds predicted_jct,

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "core/evaluator.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace ds {
 
@@ -30,12 +30,6 @@ double percentile(std::vector<double>& v, double p) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p * static_cast<double>(v.size())));
   return v[std::min(v.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
 }
 
 }  // namespace
@@ -463,21 +457,21 @@ FleetStats Scheduler::fleet() const {
 
 void Scheduler::write_stats(std::ostream& os) const {
   const FleetStats f = fleet();
-  os << "{\"v\": 1, \"ev\": \"stats\", \"t\": " << fmt_number(sim_.now())
+  os << "{\"v\": 1, \"ev\": \"stats\", \"t\": " << json::number(sim_.now(), 12)
      << ", \"submitted\": " << f.submitted << ", \"queued\": " << f.queued
      << ", \"running\": " << f.running << ", \"finished\": " << f.finished
      << ", \"failed\": " << f.failed
      << ", \"queue_depth\": " << queue_.size()
      << ", \"ledger_slots_busy\": " << ledger_.committed_slots()
-     << ", \"slot_occupancy\": " << fmt_number(ledger_.slot_occupancy())
+     << ", \"slot_occupancy\": " << json::number(ledger_.slot_occupancy(), 12)
      << ", \"bandwidth_occupancy\": "
-     << fmt_number(ledger_.bandwidth_occupancy())
-     << ", \"plan_cache_hit_rate\": " << fmt_number(f.plan_cache_hit_rate)
-     << ", \"mean_wait\": " << fmt_number(f.mean_wait)
-     << ", \"mean_jct\": " << fmt_number(f.mean_jct)
-     << ", \"p99_jct\": " << fmt_number(f.p99_jct)
-     << ", \"mean_slowdown\": " << fmt_number(f.mean_slowdown)
-     << ", \"p99_slowdown\": " << fmt_number(f.p99_slowdown)
+     << json::number(ledger_.bandwidth_occupancy(), 12)
+     << ", \"plan_cache_hit_rate\": " << json::number(f.plan_cache_hit_rate, 12)
+     << ", \"mean_wait\": " << json::number(f.mean_wait, 12)
+     << ", \"mean_jct\": " << json::number(f.mean_jct, 12)
+     << ", \"p99_jct\": " << json::number(f.p99_jct, 12)
+     << ", \"mean_slowdown\": " << json::number(f.mean_slowdown, 12)
+     << ", \"p99_slowdown\": " << json::number(f.p99_slowdown, 12)
      << ", \"slo_violations\": " << slo_->violations() << "}\n";
   if (!slo_->empty()) slo_->write_ndjson(os, sim_.now());
 }

@@ -41,7 +41,7 @@ struct FlowSpec {
   // multiple distinct groups lose aggregate efficiency (see group_penalty).
   // -1 = anonymous: all anonymous flows count as one group.
   int group = -1;
-  EventFn on_complete;
+  EventFn on_complete{};
 };
 
 // Max-min fair allocation: flow i uses the ports in flow_ports[i] (unused

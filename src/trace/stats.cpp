@@ -1,9 +1,8 @@
 #include "trace/stats.h"
 
 #include <algorithm>
-#include <functional>
 
-#include "util/check.h"
+#include "dag/paths.h"
 
 namespace ds::trace {
 
@@ -13,56 +12,42 @@ Seconds stage_solo(const TraceStage& s) {
   return s.read_solo + s.compute_solo + s.write_solo;
 }
 
-// Longest path over a filtered stage set (all stages when filter empty).
-Seconds longest_chain(const TraceJob& job, const std::vector<bool>* in_set) {
-  const auto n = job.stages.size();
-  std::vector<Seconds> best(n, -1);
-  // Stage indices are not guaranteed topological; iterate to fixpoint via
-  // memoized DFS instead.
-  std::vector<int> state(n, 0);  // 0 unvisited, 1 visiting, 2 done
-  std::vector<Seconds> memo(n, 0);
-  std::function<Seconds(std::size_t)> visit = [&](std::size_t s) -> Seconds {
-    if (state[s] == 2) return memo[s];
-    DS_CHECK_MSG(state[s] != 1, "cycle in trace job " << job.name);
-    state[s] = 1;
-    Seconds up = 0;
-    for (int p : job.stages[s].parents)
-      up = std::max(up, visit(static_cast<std::size_t>(p)));
-    const bool counted = in_set == nullptr || (*in_set)[s];
-    memo[s] = up + (counted ? stage_solo(job.stages[s]) : 0.0);
-    state[s] = 2;
-    return memo[s];
-  };
-  Seconds total = 0;
-  for (std::size_t s = 0; s < n; ++s) total = std::max(total, visit(s));
-  return total;
-}
-
-// Parallel-stage membership flags (the K set) for a trace job.
-std::vector<bool> parallel_flags(const TraceJob& job) {
-  const dag::JobDag j = to_job_dag(job);
-  std::vector<bool> flags(job.stages.size(), false);
-  for (dag::StageId s : j.parallel_stage_set())
+// Parallel-stage membership flags (the K set) of a trace job's DAG.
+std::vector<bool> parallel_flags(const dag::JobDag& dag) {
+  std::vector<bool> flags(static_cast<std::size_t>(dag.num_stages()), false);
+  for (dag::StageId s : dag.parallel_stage_set())
     flags[static_cast<std::size_t>(s)] = true;
   return flags;
+}
+
+// Longest solo-time chain of `job` over its DAG; with `in_k`, stages outside
+// K weigh 0.
+Seconds solo_chain(const TraceJob& job, const dag::JobDag& dag,
+                   const std::vector<bool>* in_k) {
+  return dag::longest_path(dag, [&](dag::StageId s) {
+    const auto i = static_cast<std::size_t>(s);
+    return in_k == nullptr || (*in_k)[i] ? stage_solo(job.stages[i]) : 0.0;
+  });
 }
 
 }  // namespace
 
 Seconds critical_path_time(const TraceJob& job) {
-  return longest_chain(job, nullptr);
+  return solo_chain(job, to_job_dag(job), nullptr);
 }
 
 Seconds parallel_region_time(const TraceJob& job) {
-  const std::vector<bool> flags = parallel_flags(job);
-  return longest_chain(job, &flags);
+  const dag::JobDag dag = to_job_dag(job);
+  const std::vector<bool> flags = parallel_flags(dag);
+  return solo_chain(job, dag, &flags);
 }
 
 TraceStats analyze(const std::vector<TraceJob>& jobs) {
   TraceStats st;
   for (const TraceJob& job : jobs) {
     ++st.total_jobs;
-    const std::vector<bool> flags = parallel_flags(job);
+    const dag::JobDag dag = to_job_dag(job);
+    const std::vector<bool> flags = parallel_flags(dag);
     const auto parallel =
         static_cast<std::size_t>(std::count(flags.begin(), flags.end(), true));
     st.total_stages += job.stages.size();
@@ -70,9 +55,10 @@ TraceStats analyze(const std::vector<TraceJob>& jobs) {
     if (parallel > 0) ++st.jobs_with_parallel_stages;
     st.stages_per_job.add(static_cast<double>(job.stages.size()));
     st.parallel_stages_per_job.add(static_cast<double>(parallel));
-    const Seconds jct = critical_path_time(job);
+    const Seconds jct = solo_chain(job, dag, nullptr);
     if (jct > 0 && parallel > 0) {
-      st.parallel_makespan_share.add(100.0 * parallel_region_time(job) / jct);
+      st.parallel_makespan_share.add(100.0 * solo_chain(job, dag, &flags) /
+                                     jct);
     }
   }
   return st;

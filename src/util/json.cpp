@@ -262,4 +262,10 @@ void write_string(std::ostream& os, std::string_view s) {
   os << '"';
 }
 
+std::string number(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+  return buf;
+}
+
 }  // namespace ds::json

@@ -74,4 +74,9 @@ Status parse(std::string_view text, Value* out);
 // this repo needs to get right.
 void write_string(std::ostream& os, std::string_view s);
 
+// `v` printed with printf's %.<digits>g: the one number format of the JSON
+// and NDJSON writers (10 digits for metric, trace and report dumps, 12 for
+// the sim-time streams), so their bytes stay deterministic.
+std::string number(double v, int digits = 10);
+
 }  // namespace ds::json

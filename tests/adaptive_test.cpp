@@ -71,7 +71,8 @@ dag::JobDag fan() {
 dag::JobDag chain(int stages) {
   dag::JobDag j("chain");
   for (int i = 0; i < stages; ++i)
-    j.add_stage(mk("s" + std::to_string(i), 4, 300_MB, 30_MBps, 300_MB));
+    j.add_stage(mk(std::string("s").append(std::to_string(i)), 4, 300_MB,
+                   30_MBps, 300_MB));
   for (int i = 0; i + 1 < stages; ++i) j.add_edge(i, i + 1);
   return j;
 }

@@ -19,6 +19,7 @@
 #include "sim/cluster.h"
 #include "trace/replay.h"
 #include "trace/synthetic.h"
+#include "util/json.h"
 #include "workloads/workloads.h"
 
 namespace ds {
@@ -398,6 +399,35 @@ TEST(ReportSchema, FleetJsonHasPinnedKeysAndBalancedBraces) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   expect_balanced(json);
+}
+
+// Names come from user spec files, so any byte may reach the JSON: control
+// characters must be escaped, or strict parsers reject the whole report.
+TEST(ReportSchema, ControlCharactersInNamesStayValidJson) {
+  const std::string name = "tab\there\x01\"q\"\\";
+  obs::analytics::JobReport rep = tiny_report();
+  rep.job = name;
+  rep.drift.stages[0].name = name;
+  rep.drift.warnings.push_back(name);
+  obs::analytics::FleetReport fleet;
+  fleet.trace = name;
+  fleet.strategies.push_back({});
+  fleet.strategies[0].strategy = name;
+
+  std::ostringstream job_os, fleet_os;
+  obs::analytics::write_json(job_os, rep);
+  obs::analytics::write_json(fleet_os, fleet);
+  json::Value job, fl;
+  ASSERT_TRUE(json::parse(job_os.str(), &job).is_ok()) << job_os.str();
+  ASSERT_TRUE(json::parse(fleet_os.str(), &fl).is_ok()) << fleet_os.str();
+  EXPECT_EQ(job.find("job")->str_or(""), name);
+  const json::Value* drift = job.find("drift");
+  ASSERT_NE(drift, nullptr);
+  EXPECT_EQ(drift->find("stages")->array()[0].find("name")->str_or(""), name);
+  EXPECT_EQ(drift->find("warnings")->array().back().str_or(""), name);
+  EXPECT_EQ(fl.find("trace")->str_or(""), name);
+  EXPECT_EQ(fl.find("strategies")->array()[0].find("strategy")->str_or(""),
+            name);
 }
 
 TEST(ReportSchema, CsvSectionsAndHeaders) {

@@ -24,7 +24,8 @@ dag::JobDag random_job(std::uint64_t seed) {
     const int width = static_cast<int>(rng.uniform_int(1, 3));
     for (int w = 0; w < width; ++w) {
       dag::Stage s;
-      s.name = "s" + std::to_string(l) + "_" + std::to_string(w);
+      s.name = std::string("s").append(std::to_string(l)).append("_").append(
+          std::to_string(w));
       s.num_tasks = static_cast<int>(rng.uniform_int(8, 40));
       s.input_bytes = rng.uniform(1.0, 8.0) * 1e9;
       s.process_rate = rng.uniform(1.5, 4.0) * 1e6;

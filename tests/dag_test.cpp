@@ -24,7 +24,8 @@ Stage mk(const std::string& name) {
 // The ALS job of paper Fig. 1: six stages; 1 || 2; 3 || {1, 2, 4}.
 JobDag als_shape() {
   JobDag j("als");
-  for (int i = 1; i <= 6; ++i) j.add_stage(mk("s" + std::to_string(i)));
+  for (int i = 1; i <= 6; ++i)
+    j.add_stage(mk(std::string("s").append(std::to_string(i))));
   j.add_edge(0, 3);  // 1 -> 4
   j.add_edge(1, 3);  // 2 -> 4
   j.add_edge(2, 4);  // 3 -> 5
@@ -88,7 +89,8 @@ TEST(JobDag, ParallelStageSetAndSequentialComplement) {
 
 TEST(JobDag, PureChainHasNoParallelStages) {
   JobDag j("chain");
-  for (int i = 0; i < 4; ++i) j.add_stage(mk("c" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i)
+    j.add_stage(mk(std::string("c").append(std::to_string(i))));
   for (int i = 0; i < 3; ++i) j.add_edge(i, i + 1);
   EXPECT_TRUE(j.parallel_stage_set().empty());
   EXPECT_EQ(j.sequential_stages().size(), 4u);

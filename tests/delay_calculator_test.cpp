@@ -63,8 +63,9 @@ TEST_P(CalculatorProperty, ConstraintsAndImprovementHold) {
   const std::set<dag::StageId> k(k_set.begin(), k_set.end());
   for (dag::StageId s = 0; s < j.num_stages(); ++s) {
     EXPECT_GE(sched.delay[static_cast<std::size_t>(s)], 0.0);
-    if (!k.contains(s))
+    if (!k.contains(s)) {
       EXPECT_DOUBLE_EQ(sched.delay[static_cast<std::size_t>(s)], 0.0);
+    }
   }
 
   // Greedy never worsens the model makespan relative to stock.

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <set>
 
+#include "core/perf_model.h"
+#include "core/profile.h"
 #include "dag/paths.h"
+#include "service/policy.h"
 #include "util/units.h"
+#include "workloads/workloads.h"
 
 namespace ds::dag {
 namespace {
@@ -25,7 +29,8 @@ Stage mk(const std::string& name) {
 // P2={2,3}, P3={4}; stage 5 is sequential.
 JobDag fig7() {
   JobDag j("fig7");
-  for (int i = 1; i <= 5; ++i) j.add_stage(mk("s" + std::to_string(i)));
+  for (int i = 1; i <= 5; ++i)
+    j.add_stage(mk(std::string("s").append(std::to_string(i))));
   j.add_edge(0, 2);  // 1 -> 3
   j.add_edge(1, 2);  // 2 -> 3
   j.add_edge(2, 4);  // 3 -> 5
@@ -56,6 +61,52 @@ TEST(Paths, PathTimeSumsStageDurations) {
     times.push_back(path_time(p, [&](StageId s) { return t[static_cast<std::size_t>(s)]; }));
   std::sort(times.begin(), times.end());
   EXPECT_EQ(times, (std::vector<Seconds>{20, 40, 50}));
+}
+
+TEST(Paths, LongestPathTakesTheHeaviestChain) {
+  // Diamond 0 -> {1, 2} -> 3 plus an isolated stage 4.
+  JobDag j("diamond");
+  for (int i = 0; i < 5; ++i) j.add_stage(mk("d"));
+  j.add_edge(0, 1);
+  j.add_edge(0, 2);
+  j.add_edge(1, 3);
+  j.add_edge(2, 3);
+  const std::vector<Seconds> t{10, 30, 20, 5, 40};
+  const auto masked = [&](std::set<StageId> k) {
+    return longest_path(j, [&](StageId s) {
+      return k.contains(s) ? t[static_cast<std::size_t>(s)] : 0.0;
+    });
+  };
+  EXPECT_EQ(masked({0, 1, 2, 3, 4}), 45.0);  // 0 -> 1 -> 3 beats stage 4
+  EXPECT_EQ(masked({1, 2}), 30.0);           // the heavier branch alone
+  EXPECT_EQ(masked({2, 4}), 40.0);           // the isolated stage alone
+  EXPECT_EQ(longest_path(JobDag("empty"), [](StageId) { return 1.0; }), 0.0);
+}
+
+// The solo-weighted bound is the scheduler's HardFirst key. Its values for
+// the benchmark suite on both cluster specs are pinned bit for bit.
+TEST(Paths, LongestPathMatchesThePinnedHardFirstKeys) {
+  const std::vector<double> prototype{
+      0x1.bb41a14eac252p+8, 0x1.2dc09e7205763p+7, 0x1.aad743dc20eedp+8,
+      0x1.66f4fa4dfdb78p+8};
+  const std::vector<double> three_node{
+      0x1.9a99d99a63e1ap+10, 0x1.444c4baa3f0dep+9, 0x1.ab253fd70f7afp+10,
+      0x1.251e530b71736p+10};
+  const auto suite = workloads::benchmark_suite();
+  ASSERT_EQ(suite.size(), prototype.size());
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    for (const auto& [spec, want] :
+         {std::pair{sim::ClusterSpec::paper_prototype(), prototype[i]},
+          std::pair{sim::ClusterSpec::three_node(), three_node[i]}}) {
+      const auto profile = core::JobProfile::from(suite[i].dag, spec);
+      const core::PerfModel model(profile);
+      EXPECT_EQ(longest_path(suite[i].dag,
+                             [&](StageId s) { return model.solo_time(s); }),
+                want)
+          << suite[i].name;
+      EXPECT_EQ(service::critical_path_time(profile), want) << suite[i].name;
+    }
+  }
 }
 
 TEST(Paths, ChainJobHasNoPaths) {

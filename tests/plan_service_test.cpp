@@ -471,7 +471,8 @@ std::string plan_request(int id, const dag::JobDag& job) {
 }
 
 TEST(PlanDaemon, ServesHitsAfterTheColdMiss) {
-  PlanDaemon daemon(DaemonOptions{});
+  const DaemonOptions dopt;
+  PlanDaemon daemon(dopt);
   const dag::JobDag job = diamond();
   bool err = true;
   const std::string first = daemon.handle_line(plan_request(1, job), &err);
@@ -489,7 +490,8 @@ TEST(PlanDaemon, ServesHitsAfterTheColdMiss) {
 }
 
 TEST(PlanDaemon, MalformedLinesGetErrorResponsesNotCrashes) {
-  PlanDaemon daemon(DaemonOptions{});
+  const DaemonOptions dopt;
+  PlanDaemon daemon(dopt);
   bool err = false;
   EXPECT_NE(daemon.handle_line("{oops", &err).find("\"error\""),
             std::string::npos);

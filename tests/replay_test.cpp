@@ -8,7 +8,7 @@ namespace {
 
 TraceJob simple_job(Seconds submit, Seconds compute = 100) {
   TraceJob j;
-  j.name = "j" + std::to_string(static_cast<int>(submit));
+  j.name = std::string("j").append(std::to_string(static_cast<int>(submit)));
   j.submit_time = submit;
   TraceStage a;
   a.name = "M1";
